@@ -18,9 +18,10 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
+    ConfigError,
     ContraryConflict,
     DanglingPreference,
     FlatnessViolation,
@@ -73,13 +74,16 @@ def _sentence(value: str | Sentence) -> Sentence:
     return value if isinstance(value, Sentence) else Sentence(value)
 
 
+_T = TypeVar("_T", bound=Hashable)
+
+
 def transitive_closure(
-    pairs: Iterable[tuple[Sentence, Sentence]],
-    carrier: Iterable[Sentence],
-) -> frozenset[tuple[Sentence, Sentence]]:
-    """Reflexive-transitive closure of ``pairs`` over ``carrier``."""
+    pairs: Iterable[tuple[_T, _T]],
+    carrier: Iterable[_T],
+) -> frozenset[tuple[_T, _T]]:
+    """Reflexive-transitive closure of ``pairs`` over a sortable ``carrier``."""
     items = sorted(set(carrier))
-    closed: set[tuple[Sentence, Sentence]] = {(x, x) for x in items}
+    closed: set[tuple[_T, _T]] = {(x, x) for x in items}
     closed.update(pairs)
     # Warshall pass; the carriers involved stay small.
     for k in items:
@@ -93,8 +97,13 @@ def transitive_closure(
 
 
 @dataclass(frozen=True)
-class PreferencePreorder:
-    """A reflexive-transitive relation ``leq`` over a carrier of sentences."""
+class Preorder:
+    """A reflexive-transitive relation ``leq`` over a carrier of sentences.
+
+    It serves both as the preference over assumptions and as the priority
+    over goals; the validators check that the pairs stay inside the carrier
+    (and, for goals, that the closure is total).
+    """
 
     carrier: frozenset[Sentence]
     pairs: frozenset[tuple[Sentence, Sentence]]
@@ -104,15 +113,9 @@ class PreferencePreorder:
         cls,
         carrier: Iterable[str | Sentence],
         pairs: Iterable[tuple[str | Sentence, str | Sentence]] = (),
-    ) -> "PreferencePreorder":
+    ) -> "Preorder":
         members = frozenset(_sentence(c) for c in carrier)
         raw = [(_sentence(a), _sentence(b)) for a, b in pairs]
-        for a, b in raw:
-            for s in (a, b):
-                if s not in members:
-                    raise DanglingPreference(
-                        f"preference mentions {s.symbol!r}, which is not an assumption"
-                    )
         return cls(members, transitive_closure(raw, members))
 
     def leq(self, a: Sentence, b: Sentence) -> bool:
@@ -164,7 +167,7 @@ class AbaFramework:
     rules: frozenset[Rule]
     assumptions: frozenset[Sentence]
     contrary_items: tuple[tuple[Sentence, Sentence], ...]
-    preference: PreferencePreorder
+    preference: Preorder
 
     @cached_property
     def contrary_map(self) -> Mapping[Sentence, Sentence]:
@@ -253,7 +256,14 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
         taken.add(symbol)
         contrary[asm] = Sentence(symbol)
 
-    preference = PreferencePreorder.over(assumptions, raw.preferences)
+    preference_pairs = [(Sentence(a), Sentence(b)) for a, b in raw.preferences]
+    for pair in preference_pairs:
+        for s in pair:
+            if s not in assumptions:
+                raise DanglingPreference(
+                    f"preference mentions {s.symbol!r}, which is not an assumption"
+                )
+    preference = Preorder.over(assumptions, preference_pairs)
     return AbaFramework(
         rules=rules,
         assumptions=assumptions,
@@ -392,23 +402,26 @@ class _AttackTables:
             rest ^= low
         return False
 
-    def attack_kinds(self, attacker: int, target: int) -> frozenset[str]:
-        kinds = set()
-        rest = target
-        while rest and "normal" not in kinds:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if any(s & ~attacker == 0 for s in self.normal[i]):
-                kinds.add("normal")
-            rest ^= low
-        rest = attacker
-        while rest and "reverse" not in kinds:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if any(s & ~target == 0 for s in self.reverse[i]):
-                kinds.add("reverse")
-            rest ^= low
-        return frozenset(kinds)
+    def witnesses(self, attacker: int, target: int) -> Iterator[tuple[str, int, int]]:
+        """Every ``(kind, member, support)`` behind an attack, as indices and masks.
+
+        A normal witness is a support inside ``attacker`` of the contrary of
+        target member ``member``; a reverse witness is a support inside
+        ``target`` of the contrary of attacker member ``member``.  Normal
+        witnesses come first; within a kind they go by member index, then by
+        support mask.  :meth:`attacks` decides the same relation without
+        listing them.
+        """
+        for i in range(len(self.normal)):
+            if target >> i & 1:
+                for s in self.normal[i]:
+                    if s & ~attacker == 0:
+                        yield "normal", i, s
+        for i in range(len(self.reverse)):
+            if attacker >> i & 1:
+                for s in self.reverse[i]:
+                    if s & ~target == 0:
+                        yield "reverse", i, s
 
     def canonical_attacker_masks(self, target: int) -> frozenset[int]:
         found: set[int] = set()
@@ -473,7 +486,29 @@ def attack_kinds(
     tables = _attack_tables(framework)
     a = tables.table.to_mask(framework.check_assumption_set(attacker))
     t = tables.table.to_mask(framework.check_assumption_set(target))
-    return tables.attack_kinds(a, t)
+    return frozenset(kind for kind, _, _ in tables.witnesses(a, t))
+
+
+def attack_witnesses(
+    framework: AbaFramework,
+    attacker: Iterable[Sentence],
+    target: Iterable[Sentence],
+) -> tuple[tuple[str, Sentence, frozenset[Sentence]], ...]:
+    """Every ``(kind, member, support)`` by which ``attacker`` attacks ``target``.
+
+    ``support`` derives the contrary of ``member``: inside the attacker with
+    no assumption strictly below ``member`` for a "normal" witness, inside
+    the target with one strictly below the attacker member ``member`` for a
+    "reverse" one.  Empty exactly when there is no attack.
+    """
+    tables = _attack_tables(framework)
+    a = tables.table.to_mask(framework.check_assumption_set(attacker))
+    t = tables.table.to_mask(framework.check_assumption_set(target))
+    order = tables.table.order
+    return tuple(
+        (kind, order[i], tables.table.from_mask(s))
+        for kind, i, s in tables.witnesses(a, t)
+    )
 
 
 def extension_sort_key(extension: Iterable[Sentence]) -> tuple[str, ...]:
@@ -528,9 +563,15 @@ def _effective_cap(size_cap: int | None) -> int:
     if size_cap is not None:
         return size_cap
     env = os.environ.get(SIZE_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SIZE_CAP
+    if env is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ConfigError(f"{SIZE_CAP_ENV} must be a non-negative integer, got {env!r}")
+    return cap
 
 
 def preferred_extensions(

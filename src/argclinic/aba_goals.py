@@ -14,63 +14,23 @@ from typing import Iterable, Sequence
 
 from .aba_core import (
     AbaFramework,
+    Preorder,
     Sentence,
+    _sentence,
     conclusions,
     extension_sort_key,
     preferred_extensions,
-    transitive_closure,
 )
 from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal
 
 
-def _sentence(value: str | Sentence) -> Sentence:
-    return value if isinstance(value, Sentence) else Sentence(value)
-
-
-@dataclass(frozen=True)
-class PriorityPreorder:
-    """A total reflexive-transitive relation over the goal sentences."""
-
-    carrier: frozenset[Sentence]
-    pairs: frozenset[tuple[Sentence, Sentence]]
-
-    @classmethod
-    def over(
-        cls,
-        carrier: Iterable[str | Sentence],
-        pairs: Iterable[tuple[str | Sentence, str | Sentence]] = (),
-    ) -> "PriorityPreorder":
-        members = frozenset(_sentence(c) for c in carrier)
-        raw = [(_sentence(a), _sentence(b)) for a, b in pairs]
-        for a, b in raw:
-            for s in (a, b):
-                if s not in members:
-                    raise PriorityMentionsNonGoal(
-                        f"priority mentions {s.symbol!r}, which is not a declared goal"
-                    )
-        closed = transitive_closure(raw, members)
-        for a in members:
-            for b in members:
-                if (a, b) not in closed and (b, a) not in closed:
-                    raise PriorityNotTotal(
-                        f"goals {a.symbol!r} and {b.symbol!r} are incomparable"
-                    )
-        return cls(members, closed)
-
-    def leq(self, a: Sentence, b: Sentence) -> bool:
-        return a == b or (a, b) in self.pairs
-
-    def strictly_less(self, a: Sentence, b: Sentence) -> bool:
-        return self.leq(a, b) and not self.leq(b, a)
-
-
 @dataclass(frozen=True)
 class AbapgFramework:
-    """A core framework together with goals and their priority."""
+    """A core framework together with goals and their (total) priority."""
 
     base: AbaFramework
     goals: frozenset[Sentence]
-    priority: PriorityPreorder
+    priority: Preorder
 
 
 def validate_abapg(
@@ -91,7 +51,20 @@ def validate_abapg(
             raise GoalWithoutRule(
                 f"goal {goal.symbol!r} has no rule deriving it"
             )
-    priority = PriorityPreorder.over(goal_set, priority_pairs)
+    raw = [(_sentence(a), _sentence(b)) for a, b in priority_pairs]
+    for pair in raw:
+        for s in pair:
+            if s not in goal_set:
+                raise PriorityMentionsNonGoal(
+                    f"priority mentions {s.symbol!r}, which is not a declared goal"
+                )
+    priority = Preorder.over(goal_set, raw)
+    for a in priority.carrier:
+        for b in priority.carrier:
+            if not priority.leq(a, b) and not priority.leq(b, a):
+                raise PriorityNotTotal(
+                    f"goals {a.symbol!r} and {b.symbol!r} are incomparable"
+                )
     return AbapgFramework(base=base, goals=goal_set, priority=priority)
 
 
@@ -115,7 +88,7 @@ def goal_extension(
 def goal_set_leq(
     first: frozenset[Sentence],
     second: frozenset[Sentence],
-    priority: PriorityPreorder,
+    priority: Preorder,
 ) -> bool:
     """Achieved-set comparison: ``first`` is at most as good as ``second``.
 
@@ -135,7 +108,7 @@ def goal_set_leq(
 
 
 def goal_order_leq(
-    first: GoalExtension, second: GoalExtension, priority: PriorityPreorder
+    first: GoalExtension, second: GoalExtension, priority: Preorder
 ) -> bool:
     return goal_set_leq(first.achieved, second.achieved, priority)
 
@@ -161,7 +134,7 @@ def collect_goal_extensions(
 
 def maximal_goal_extensions(
     goal_extensions: Sequence[GoalExtension],
-    priority: PriorityPreorder,
+    priority: Preorder,
 ) -> tuple[GoalExtension, ...]:
     """The goal extensions no other one strictly dominates.
 
@@ -181,10 +154,28 @@ def maximal_goal_extensions(
     return tuple(sorted(top, key=lambda g: extension_sort_key(g.achieved)))
 
 
+@dataclass(frozen=True)
+class GoalRanking:
+    """Both stages of a solve: the preferred extensions, then their goals."""
+
+    preferred: tuple[frozenset[Sentence], ...]
+    goal_extensions: tuple[GoalExtension, ...]
+    top_goal_extensions: tuple[GoalExtension, ...]
+
+
+def rank_goals(framework: AbapgFramework, size_cap: int | None = None) -> GoalRanking:
+    """Enumerate the preferred extensions and rank them by achieved goals."""
+    preferred = preferred_extensions(framework.base, size_cap=size_cap)
+    grouped = collect_goal_extensions(framework, preferred)
+    return GoalRanking(
+        preferred=preferred,
+        goal_extensions=grouped,
+        top_goal_extensions=maximal_goal_extensions(grouped, framework.priority),
+    )
+
+
 def top_goal_extensions(
     framework: AbapgFramework, size_cap: int | None = None
 ) -> tuple[GoalExtension, ...]:
     """Goal extensions of the preferred extensions, best ones only."""
-    extensions = preferred_extensions(framework.base, size_cap=size_cap)
-    grouped = collect_goal_extensions(framework, extensions)
-    return maximal_goal_extensions(grouped, framework.priority)
+    return rank_goals(framework, size_cap).top_goal_extensions

@@ -14,11 +14,12 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .aba_core import (
     AbaFramework,
-    attack_kinds,
+    attack_witnesses,
     canonical_attackers,
     compute_supports,
     extension_sort_key,
@@ -28,13 +29,15 @@ from .aba_core import (
 from .aba_goals import (
     AbapgFramework,
     GoalExtension,
-    collect_goal_extensions,
-    maximal_goal_extensions,
+    GoalRanking,
+    rank_goals,
+    top_goal_extensions,
     validate_abapg,
 )
 from .aba_text import parse_aba_text, serialize_abapg, serialize_framework
 from .bundle import parse_bundle
 from .errors import (
+    ConfigError,
     OracleSizeExceeded,
     ParseError,
     SchemaError,
@@ -53,7 +56,15 @@ EXIT_DISAGREEMENT = 4
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]
+        raise ParseError(
+            f"{path} is not UTF-8 text ({exc.reason})",
+            before.count(b"\n") + 1,
+            exc.start - before.rfind(b"\n"),
+        ) from None
 
 
 def _braced(symbols) -> str:
@@ -77,117 +88,84 @@ def _goal_extension_json(goal_extension: GoalExtension) -> dict:
     }
 
 
-def _print_solution_text(solution: Solution, quiet: bool) -> None:
+def _print_solution(result: GoalRanking, args, goals: bool) -> None:
+    """Print ``solve`` output for either input.
+
+    The goal sections appear when ``goals`` is set; the recommendation sets,
+    warnings and plans appear when ``result`` is a bundle's :class:`Solution`.
+    """
+    solution = result if isinstance(result, Solution) else None
+    if args.format == "json":
+        payload: dict = {
+            "preferred_extensions": [
+                list(extension_sort_key(e)) for e in result.preferred
+            ]
+        }
+        if goals:
+            payload["goal_extensions"] = [
+                _goal_extension_json(g) for g in result.goal_extensions
+            ]
+            payload["top_goal_extensions"] = [
+                _goal_extension_json(g) for g in result.top_goal_extensions
+            ]
+        if solution is not None:
+            payload["recommendation_sets"] = [
+                list(r) for r in solution.preferred_recommendations
+            ]
+            payload["follow"] = [asdict(plan) for plan in solution.follow]
+            payload["warnings"] = list(solution.report.warnings)
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+
     out = sys.stdout
-    if quiet:
-        for extension in solution.preferred:
+    if args.quiet:
+        for extension in result.preferred:
             out.write(_extension_text(extension) + "\n")
         return
     out.write("preferred extensions:\n")
-    for extension in solution.preferred:
+    for extension in result.preferred:
         out.write("  " + _extension_text(extension) + "\n")
-    out.write("recommendation sets:\n")
-    for names in solution.preferred_recommendations:
-        out.write("  " + _braced(names) + "\n")
-    out.write("goal extensions:\n")
-    for goal_extension in solution.goal_extensions:
-        out.write("  " + _goal_extension_text(goal_extension) + "\n")
-    out.write("top goal extensions:\n")
-    for goal_extension in solution.top_goal_extensions:
-        out.write("  " + _goal_extension_text(goal_extension) + "\n")
-    for warning in solution.report.warnings:
-        out.write(f"warning: {warning}\n")
-    for plan in solution.follow:
-        if plan.items:
-            out.write("FOLLOW: " + ", ".join(i.display() for i in plan.items) + "\n")
-        else:
-            out.write("FOLLOW: (no recommendations)\n")
+    if solution is not None:
+        out.write("recommendation sets:\n")
+        for names in solution.preferred_recommendations:
+            out.write("  " + _braced(names) + "\n")
+    if goals:
+        out.write("goal extensions:\n")
+        for goal_extension in result.goal_extensions:
+            out.write("  " + _goal_extension_text(goal_extension) + "\n")
+        out.write("top goal extensions:\n")
+        for goal_extension in result.top_goal_extensions:
+            out.write("  " + _goal_extension_text(goal_extension) + "\n")
+    if solution is not None:
+        for warning in solution.report.warnings:
+            out.write(f"warning: {warning}\n")
+        for plan in solution.follow:
+            if plan.items:
+                out.write("FOLLOW: " + ", ".join(i.display() for i in plan.items) + "\n")
+            else:
+                out.write("FOLLOW: (no recommendations)\n")
 
 
-def _solution_json(solution: Solution) -> dict:
-    return {
-        "preferred_extensions": [
-            list(extension_sort_key(e)) for e in solution.preferred
-        ],
-        "recommendation_sets": [list(r) for r in solution.preferred_recommendations],
-        "goal_extensions": [
-            _goal_extension_json(g) for g in solution.goal_extensions
-        ],
-        "top_goal_extensions": [
-            _goal_extension_json(g) for g in solution.top_goal_extensions
-        ],
-        "follow": [
-            {
-                "source": list(plan.source),
-                "items": [
-                    {
-                        "recommendation": item.recommendation,
-                        "action": item.action,
-                        "avoid": item.avoid,
-                    }
-                    for item in plan.items
-                ],
-            }
-            for plan in solution.follow
-        ],
-        "warnings": list(solution.report.warnings),
-    }
+def _parse_program(path: str) -> tuple[AbapgFramework, bool]:
+    """A textual framework and whether it declares goals.
 
-
-def _parse_program(path: str) -> tuple[AbaFramework, AbapgFramework | None]:
+    A program without goal statements gets an empty goal layer.
+    """
     program = parse_aba_text(_read(path))
     framework = validate_framework(program.raw)
-    if program.has_goals:
-        return framework, validate_abapg(framework, program.goals, program.priorities)
-    return framework, None
+    goal_framework = validate_abapg(framework, program.goals, program.priorities)
+    return goal_framework, program.has_goals
 
 
 def _cmd_solve(args) -> int:
     if args.bundle:
         bundle = parse_bundle(_read(args.bundle))
-        solution = resolve(bundle.recommendations, bundle.interactions, bundle.context)
-        if args.format == "json":
-            sys.stdout.write(
-                json.dumps(_solution_json(solution), indent=2, sort_keys=True) + "\n"
-            )
-        else:
-            _print_solution_text(solution, quiet=args.quiet)
-        return EXIT_OK
-
-    framework, goal_framework = _parse_program(args.aba)
-    extensions = preferred_extensions(framework)
-    goal_extensions: tuple[GoalExtension, ...] = ()
-    top: tuple[GoalExtension, ...] = ()
-    if goal_framework is not None:
-        goal_extensions = collect_goal_extensions(goal_framework, extensions)
-        top = maximal_goal_extensions(goal_extensions, goal_framework.priority)
-
-    if args.format == "json":
-        payload: dict = {
-            "preferred_extensions": [list(extension_sort_key(e)) for e in extensions]
-        }
-        if goal_framework is not None:
-            payload["goal_extensions"] = [
-                _goal_extension_json(g) for g in goal_extensions
-            ]
-            payload["top_goal_extensions"] = [_goal_extension_json(g) for g in top]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-
-    if args.quiet:
-        for extension in extensions:
-            sys.stdout.write(_extension_text(extension) + "\n")
-        return EXIT_OK
-    sys.stdout.write("preferred extensions:\n")
-    for extension in extensions:
-        sys.stdout.write("  " + _extension_text(extension) + "\n")
-    if goal_framework is not None:
-        sys.stdout.write("goal extensions:\n")
-        for goal_extension in goal_extensions:
-            sys.stdout.write("  " + _goal_extension_text(goal_extension) + "\n")
-        sys.stdout.write("top goal extensions:\n")
-        for goal_extension in top:
-            sys.stdout.write("  " + _goal_extension_text(goal_extension) + "\n")
+        result = resolve(bundle.recommendations, bundle.interactions, bundle.context)
+        goals = True
+    else:
+        goal_framework, goals = _parse_program(args.aba)
+        result = rank_goals(goal_framework)
+    _print_solution(result, args, goals)
     return EXIT_OK
 
 
@@ -229,51 +207,23 @@ def _cmd_check(args) -> int:
             sys.stdout.write(f"warning: {warning}\n")
         return EXIT_OK
 
-    framework, goal_framework = _parse_program(args.aba)
-    summary = (
-        f"ok: {len(framework.assumptions)} assumptions, {len(framework.rules)} rules"
-    )
-    if goal_framework is not None:
+    goal_framework, goals = _parse_program(args.aba)
+    base = goal_framework.base
+    summary = f"ok: {len(base.assumptions)} assumptions, {len(base.rules)} rules"
+    if goals:
         summary += f", {len(goal_framework.goals)} goals"
     sys.stdout.write(summary + "\n")
     return EXIT_OK
 
 
 def _singleton_attack_lines(framework: AbaFramework) -> list[str]:
-    table = compute_supports(framework)
-    lines = []
-    for attacker in framework.assumption_order:
-        for target in framework.assumption_order:
-            kinds = attack_kinds(framework, [attacker], [target])
-            for kind in sorted(kinds):
-                if kind == "normal":
-                    contrary = framework.contrary(target)
-                    witnesses = [
-                        s
-                        for s in table.supports_of(contrary)
-                        if s <= {attacker}
-                        and not any(
-                            framework.preference.strictly_less(member, target)
-                            for member in s
-                        )
-                    ]
-                else:
-                    contrary = framework.contrary(attacker)
-                    witnesses = [
-                        s
-                        for s in table.supports_of(contrary)
-                        if s <= {target}
-                        and any(
-                            framework.preference.strictly_less(member, attacker)
-                            for member in s
-                        )
-                    ]
-                for witness in sorted(witnesses, key=extension_sort_key):
-                    lines.append(
-                        f"{{{attacker}}} attacks {{{target}}} [{kind}] "
-                        f"via {contrary} <- {_extension_text(witness)}"
-                    )
-    return lines
+    return [
+        f"{{{attacker}}} attacks {{{target}}} [{kind}] "
+        f"via {framework.contrary(member)} <- {_extension_text(support)}"
+        for attacker in framework.assumption_order
+        for target in framework.assumption_order
+        for kind, member, support in attack_witnesses(framework, [attacker], [target])
+    ]
 
 
 def _cmd_explain(args) -> int:
@@ -284,7 +234,7 @@ def _cmd_explain(args) -> int:
         )
         framework = goal_framework.base
     else:
-        framework, _ = _parse_program(args.aba)
+        framework = _parse_program(args.aba)[0].base
 
     table = compute_supports(framework)
     sys.stdout.write("supports:\n")
@@ -298,14 +248,12 @@ def _cmd_explain(args) -> int:
     sys.stdout.write("canonical attackers:\n")
     for target in framework.assumption_order:
         attackers = canonical_attackers(framework, [target])
-        rendered = ", ".join(
-            _extension_text(a) for a in sorted(attackers, key=extension_sort_key)
-        )
+        rendered = ", ".join(_extension_text(a) for a in attackers)
         sys.stdout.write(f"  of {{{target}}}: {rendered or 'none'}\n")
     return EXIT_OK
 
 
-def _goal_summary(framework: AbapgFramework, tops) -> set:
+def _goal_summary(tops) -> set:
     return {
         (g.achieved, tuple(sorted(g.sources, key=extension_sort_key))) for g in tops
     }
@@ -333,18 +281,8 @@ def _cmd_oracle(args) -> int:
             return EXIT_DISAGREEMENT
     for index in range(goal_rounds):
         goal_framework = random_abapg(rng, max_assumptions=args.max_assumptions)
-        engine_tops = _goal_summary(
-            goal_framework,
-            maximal_goal_extensions(
-                collect_goal_extensions(
-                    goal_framework, preferred_extensions(goal_framework.base)
-                ),
-                goal_framework.priority,
-            ),
-        )
-        oracle_tops = _goal_summary(
-            goal_framework, brute_force_top_goals(goal_framework)
-        )
+        engine_tops = _goal_summary(top_goal_extensions(goal_framework))
+        oracle_tops = _goal_summary(brute_force_top_goals(goal_framework))
         if engine_tops != oracle_tops:
             sys.stdout.write(
                 f"disagreement on top goal extensions (instance {index}):\n"
@@ -414,7 +352,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except SizeLimitExceeded as exc:

@@ -98,6 +98,10 @@ class OracleSizeExceeded(SizeLimitExceeded):
     """The framework exceeds the brute-force oracle size cap."""
 
 
+class ConfigError(ArgClinicError):
+    """An environment setting holds a value the program cannot use."""
+
+
 # --- input reading ------------------------------------------------------------
 
 class ParseError(ArgClinicError):

@@ -26,20 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .aba_core import (
-    RawFramework,
-    Sentence,
-    fresh_symbol,
-    preferred_extensions,
-    validate_framework,
-)
-from .aba_goals import (
-    AbapgFramework,
-    GoalExtension,
-    collect_goal_extensions,
-    maximal_goal_extensions,
-    validate_abapg,
-)
+from .aba_core import RawFramework, fresh_symbol, validate_framework
+from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
 from .errors import SymbolCollision
 from .tmr import Context, GoalTerm, Interaction, Modal, Recommendation, validate_context
 
@@ -173,8 +161,11 @@ def build_patient_framework(
             (_state_symbol(table, term.value, term.property), ())
         )
 
-    # Interaction tokens and contradiction rules.
+    # Interaction tokens, and the contradiction rules as (family, target
+    # recommendation, body): their heads, the targets' contraries, are
+    # minted below once every other symbol is interned.
     token_assumptions: list[str] = []
+    conflicts: list[tuple[str, str, tuple[str, ...]]] = []
     ordered_interactions = sorted(
         interactions, key=lambda i: (i.first, i.second, i.modal.value)
     )
@@ -193,42 +184,36 @@ def build_patient_framework(
         if first.strength.positive == second.strength.positive:
             # Both endpoints share a sign, so neither side is the "negative"
             # one; argue both ways unconditionally and flag it.
-            families["contradiction_rules_symmetric"].add(
-                (_contrary_placeholder(second.name), (rec_symbols[first.name], token))
-            )
-            families["contradiction_rules_symmetric"].add(
-                (_contrary_placeholder(first.name), (rec_symbols[second.name], token))
-            )
+            family = "contradiction_rules_symmetric"
+            conflicts.append((family, second.name, (rec_symbols[first.name], token)))
+            conflicts.append((family, first.name, (rec_symbols[second.name], token)))
             symmetric.append((inter.first, inter.second))
             continue
         positive, negative = (
             (first, second) if first.strength.positive else (second, first)
         )
-        families["contradiction_rules_positive"].add(
-            (_contrary_placeholder(negative.name), (rec_symbols[positive.name], token))
+        conflicts.append(
+            (
+                "contradiction_rules_positive",
+                negative.name,
+                (rec_symbols[positive.name], token),
+            )
         )
         for track in negative.tracks:
             if track.contribution != "-":
                 continue
             condition = _state_symbol(table, track.initial_value, track.property)
-            families["contradiction_rules_negative"].add(
+            conflicts.append(
                 (
-                    _contrary_placeholder(positive.name),
+                    "contradiction_rules_negative",
+                    positive.name,
                     (rec_symbols[negative.name], token, condition),
                 )
             )
 
-    families["contradiction_rules_contrapositive"] = _contrapositives(
-        families["contradiction_rules_positive"]
-        | families["contradiction_rules_negative"]
-        | families["contradiction_rules_symmetric"],
-        context.action_preference,
-    )
-
     assumptions = tuple(sorted(rec_symbols.values())) + tuple(sorted(token_assumptions))
 
-    # Fix contrary symbols: fresh per assumption, then substitute into the
-    # placeholder heads used while collecting contradiction rules.
+    # Contrary symbols: fresh per assumption against every interned symbol.
     taken = table.symbols()
     contraries: dict[str, str] = {}
     for asm in sorted(assumptions):
@@ -236,13 +221,18 @@ def build_patient_framework(
         taken.add(symbol)
         contraries[asm] = table.intern("contrary", asm, symbol)
 
+    for family, target, body in conflicts:
+        families[family].add((contraries[target], body))
+    families["contradiction_rules_contrapositive"] = _contrapositives(
+        families["contradiction_rules_positive"]
+        | families["contradiction_rules_negative"]
+        | families["contradiction_rules_symmetric"],
+        context.action_preference,
+        contraries,
+    )
     rules: list[tuple[str, tuple[str, ...]]] = []
     for family in _RULE_FAMILIES:
-        resolved = set()
-        for head, body in families[family]:
-            resolved.add((_resolve_placeholder(head, contraries), body))
-        families[family] = resolved
-        rules.extend(sorted(resolved))
+        rules.extend(sorted(families[family]))
 
     raw = RawFramework.of(
         rules=rules,
@@ -290,22 +280,10 @@ def build_patient_framework(
     return framework, report
 
 
-_PLACEHOLDER_PREFIX = "\x00contrary:"
-
-
-def _contrary_placeholder(rec_name: str) -> str:
-    return _PLACEHOLDER_PREFIX + rec_name
-
-
-def _resolve_placeholder(head: str, contraries: Mapping[str, str]) -> str:
-    if head.startswith(_PLACEHOLDER_PREFIX):
-        return contraries[head[len(_PLACEHOLDER_PREFIX):]]
-    return head
-
-
 def _contrapositives(
     contradiction_rules: set[tuple[str, tuple[str, ...]]],
     preference: frozenset[tuple[str, str]],
+    contraries: Mapping[str, str],
 ) -> set[tuple[str, tuple[str, ...]]]:
     """The contrapositives that give contradiction rules Weak Contraposition.
 
@@ -316,13 +294,14 @@ def _contrapositives(
     the same head has a body inside it, since that rule already derives the
     head from every assumption set the new one would.
     """
+    target_of = {symbol: asm for asm, symbol in contraries.items()}
     candidates = set()
     for head, body in contradiction_rules:
-        target = head[len(_PLACEHOLDER_PREFIX):]
+        target = target_of[head]
         for low in body:
             if (low, target) in preference and (target, low) not in preference:
                 rest = (set(body) - {low}) | {target}
-                candidates.add((_contrary_placeholder(low), tuple(sorted(rest))))
+                candidates.add((contraries[low], tuple(sorted(rest))))
     return {
         (head, body)
         for head, body in candidates
@@ -360,15 +339,12 @@ class FollowPlan:
 
 
 @dataclass(frozen=True)
-class Solution:
+class Solution(GoalRanking):
     """Everything ``resolve`` computed for one patient case."""
 
     framework: AbapgFramework
     report: MappingReport
-    preferred: tuple[frozenset[Sentence], ...]
     preferred_recommendations: tuple[tuple[str, ...], ...]
-    goal_extensions: tuple[GoalExtension, ...]
-    top_goal_extensions: tuple[GoalExtension, ...]
     follow: tuple[FollowPlan, ...]
 
 
@@ -382,18 +358,16 @@ def resolve(
     framework, report = build_patient_framework(
         recommendations, interactions, context
     )
-    preferred = preferred_extensions(framework.base, size_cap=size_cap)
+    ranking = rank_goals(framework, size_cap=size_cap)
     rec_names = {r.name for r in recommendations}
     preferred_recs = tuple(
         tuple(sorted(s.symbol for s in ext if s.symbol in rec_names))
-        for ext in preferred
+        for ext in ranking.preferred
     )
-    grouped = collect_goal_extensions(framework, preferred)
-    top = maximal_goal_extensions(grouped, framework.priority)
 
     by_name = {r.name: r for r in recommendations}
     plans = []
-    for goal_ext in top:
+    for goal_ext in ranking.top_goal_extensions:
         for source in goal_ext.sources:
             chosen = sorted(s.symbol for s in source if s.symbol in rec_names)
             items = tuple(
@@ -407,11 +381,11 @@ def resolve(
             plans.append(FollowPlan(source=tuple(chosen), items=items))
 
     return Solution(
+        preferred=ranking.preferred,
+        goal_extensions=ranking.goal_extensions,
+        top_goal_extensions=ranking.top_goal_extensions,
         framework=framework,
         report=report,
-        preferred=preferred,
         preferred_recommendations=preferred_recs,
-        goal_extensions=grouped,
-        top_goal_extensions=top,
         follow=tuple(plans),
     )

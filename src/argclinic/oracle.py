@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .aba_core import AbaFramework, Sentence, extension_sort_key
-from .aba_goals import AbapgFramework, GoalExtension, PriorityPreorder
+from .aba_core import AbaFramework, Preorder, Sentence, extension_sort_key
+from .aba_goals import AbapgFramework, GoalExtension
 from .errors import OracleSizeExceeded
 
 ORACLE_CAP = 15
@@ -155,7 +155,7 @@ def brute_force_preferred(
 def _at_most_as_good(
     first: frozenset[Sentence],
     second: frozenset[Sentence],
-    priority: PriorityPreorder,
+    priority: Preorder,
 ) -> bool:
     # Independent transcription of the achieved-set ordering.
     if first == second:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
+from .aba_core import transitive_closure
 from .errors import (
     AmbiguousActionPreference,
     DsOutOfRange,
@@ -214,25 +215,6 @@ class Context:
     goal_priority: frozenset[tuple[GoalTerm, GoalTerm]] = frozenset()
 
 
-_T = TypeVar("_T")
-
-
-def _close_pairs(
-    pairs: set[tuple[_T, _T]], carrier: Sequence[_T]
-) -> frozenset[tuple[_T, _T]]:
-    closed = set(pairs)
-    closed.update((x, x) for x in carrier)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return frozenset(closed)
-
-
 def _resolve_preference_name(
     name: str, recommendations: Sequence[Recommendation]
 ) -> tuple[str, ...]:
@@ -305,7 +287,7 @@ def validate_context(
             for high_name in _resolve_preference_name(high, recommendations):
                 preference_pairs.add((low_name, high_name))
     rec_names = sorted({r.name for r in recommendations})
-    closed_preference = _close_pairs(preference_pairs, rec_names)
+    closed_preference = transitive_closure(preference_pairs, rec_names)
 
     priority_pairs: set[tuple[GoalTerm, GoalTerm]] = set()
     for low, high in goal_priority:
@@ -317,7 +299,7 @@ def validate_context(
                 )
         priority_pairs.add((low, high))
     ordered_goals = sorted(goal_terms)
-    closed_priority = _close_pairs(priority_pairs, ordered_goals)
+    closed_priority = transitive_closure(priority_pairs, ordered_goals)
     for a in ordered_goals:
         for b in ordered_goals:
             if (a, b) not in closed_priority and (b, a) not in closed_priority:

@@ -12,13 +12,14 @@ from argclinic import (
     ContraryConflict,
     DanglingPreference,
     FlatnessViolation,
-    PreferencePreorder,
+    Preorder,
     RawFramework,
     Rule,
     Sentence,
     SizeLimitExceeded,
     ValidationError,
     attack_kinds,
+    attack_witnesses,
     attacks,
     canonical_attackers,
     compute_supports,
@@ -31,7 +32,11 @@ from argclinic import (
 )
 from argclinic.aba_core import transitive_closure
 from argclinic.generators import random_framework
-from argclinic.oracle import brute_force_defends, brute_force_preferred
+from argclinic.oracle import (
+    brute_force_attacks,
+    brute_force_defends,
+    brute_force_preferred,
+)
 
 from conftest import aspirin_framework
 
@@ -104,7 +109,7 @@ def test_check_assumption_set_rejects_non_assumptions():
 
 
 def test_preorder_is_reflexive_and_transitively_closed():
-    order = PreferencePreorder.over(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    order = Preorder.over(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert order.leq(Sentence("a"), Sentence("a"))
     assert order.leq(Sentence("a"), Sentence("c"))
     assert order.strictly_less(Sentence("a"), Sentence("c"))
@@ -112,7 +117,7 @@ def test_preorder_is_reflexive_and_transitively_closed():
 
 
 def test_preorder_tie_is_not_strict():
-    order = PreferencePreorder.over(["a", "b"], [("a", "b"), ("b", "a")])
+    order = Preorder.over(["a", "b"], [("a", "b"), ("b", "a")])
     assert order.leq(Sentence("a"), Sentence("b"))
     assert not order.strictly_less(Sentence("a"), Sentence("b"))
     assert order.strict_pairs == frozenset()
@@ -240,6 +245,17 @@ def test_attacks_are_monotone_in_both_arguments(seed):
     bigger_b = b | frozenset(rng.sample(members, rng.randint(0, len(members))))
     if attacks(framework, a, b):
         assert attacks(framework, bigger_a, bigger_b)
+    # the witness loop names a witness exactly when the sets attack, and
+    # each one lies where the attack definition puts it
+    for attacker, target in ((a, b), (bigger_a, bigger_b), (b, a)):
+        witnesses = attack_witnesses(framework, attacker, target)
+        assert bool(witnesses) == brute_force_attacks(framework, attacker, target)
+        for kind, member, support in witnesses:
+            if kind == "normal":
+                assert member in target and support <= attacker
+            else:
+                assert kind == "reverse"
+                assert member in attacker and support <= target
 
 
 @given(seeds)

@@ -21,7 +21,7 @@ from argclinic import (
     validate_abapg,
     validate_framework,
 )
-from argclinic.aba_goals import PriorityPreorder
+from argclinic.aba_core import Preorder
 from argclinic.generators import random_abapg
 from argclinic.mapper import build_patient_framework
 from argclinic.oracle import _at_most_as_good, brute_force_top_goals
@@ -140,7 +140,7 @@ def tiered_priority(levels):
         for high in carrier
         if levels[low] <= levels[high]
     ]
-    return PriorityPreorder.over(carrier, pairs)
+    return Preorder.over(carrier, pairs)
 
 
 def test_equal_sets_compare_equivalent():
@@ -186,7 +186,7 @@ def test_patient_goal_sets_rank_by_priority(patient_a_bundle):
 def test_ordering_is_not_transitive_across_ties():
     # With l below q and p tied with q: {q,l} <= {p} <= {q}, yet {q,l} is
     # not <= {q} because nothing is gained.
-    pri = PriorityPreorder.over(
+    pri = Preorder.over(
         ["p", "q", "l"], [("l", "q"), ("q", "p"), ("p", "q")]
     )
     assert goal_set_leq(sset("q", "l"), sset("p"), pri)
@@ -283,7 +283,7 @@ def test_maximality_uses_pairwise_strict_domination():
     # in both directions, so both survive; {q} is strictly below its
     # superset {q,l} and drops out.  Sorting by the ordering would get
     # this wrong, since {q,l} <= {p} <= {q} yet not {q,l} <= {q}.
-    pri = PriorityPreorder.over(
+    pri = Preorder.over(
         ["p", "q", "l"], [("l", "q"), ("q", "p"), ("p", "q")]
     )
     from argclinic.aba_goals import GoalExtension

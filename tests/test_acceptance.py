@@ -26,7 +26,8 @@ from argclinic import (
     serialize_framework,
     validate_framework,
 )
-from argclinic.aba_goals import GoalExtension, PriorityPreorder
+from argclinic.aba_core import Preorder
+from argclinic.aba_goals import GoalExtension
 from argclinic.generators import (
     random_abapg,
     random_bundle_data,
@@ -233,7 +234,7 @@ def test_criterion_7_goal_ordering_laws():
         size = rng.randint(1, 5)
         goals = [f"g{i}" for i in range(size)]
         level = {g: rng.randint(0, size) for g in goals}
-        priority = PriorityPreorder.over(
+        priority = Preorder.over(
             goals,
             [
                 (low, high)

@@ -157,6 +157,37 @@ def test_check_summarises_a_textual_framework(tmp_path, capsys):
     assert out == "ok: 2 assumptions, 4 rules, 2 goals\n"
 
 
+def test_solve_quiet_reads_textual_frameworks(tmp_path, capsys):
+    program = tmp_path / "case.aba"
+    program.write_text(GOAL_PROGRAM)
+    code, out, err = run(capsys, "solve", "--quiet", "--aba", str(program))
+    assert (code, out, err) == (0, "{a}\n{b}\n", "")
+
+
+def test_solve_json_on_a_textual_framework_with_goals(tmp_path, capsys):
+    program = tmp_path / "case.aba"
+    program.write_text(GOAL_PROGRAM)
+    code, out, err = run(capsys, "solve", "--format", "json", "--aba", str(program))
+    expected = {
+        "goal_extensions": [
+            {"achieved": ["p"], "sources": [["a"]]},
+            {"achieved": ["q"], "sources": [["b"]]},
+        ],
+        "preferred_extensions": [["a"], ["b"]],
+        "top_goal_extensions": [{"achieved": ["p"], "sources": [["a"]]}],
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_solve_json_on_a_textual_framework_without_goals(tmp_path, capsys):
+    program = tmp_path / "plain.aba"
+    program.write_text("assumption(a).\nrule(p, [a]).\n")
+    code, out, err = run(capsys, "solve", "--format", "json", "--aba", str(program))
+    assert (code, err) == (0, "")
+    assert out == '{\n  "preferred_extensions": [\n    [\n      "a"\n    ]\n  ]\n}\n'
+
+
 def test_explain_lists_supports_attacks_and_attackers(capsys):
     code, out, _ = run(capsys, "explain", "--bundle", ASPIRIN_PREF)
     assert code == 0
@@ -170,6 +201,71 @@ def test_explain_lists_supports_attacks_and_attackers(capsys):
     )
     assert "  of {r1}: none\n" in out
     assert "  of {r2}: {r1}\n" in out
+
+
+def test_explain_prints_the_whole_patient_report(capsys):
+    code, out, err = run(capsys, "explain", "--bundle", PATIENT_A)
+    assert (code, err) == (0, "")
+    assert out == (
+        "supports:\n"
+        "  Blood_Pressure <- {}\n"
+        "  Decrease_Fatigue <- {r2}, {r3}\n"
+        "  Decrease_Fitness <- {r2}, {r3}\n"
+        "  Decrease_Pain <- {r2}, {r3}\n"
+        "  High_Body_Temperature <- {}\n"
+        "  Increase_Lymphedema <- {r2}\n"
+        "  Low_Pace_Exercise <- {r3}\n"
+        "  Std_Exercise <- {r2}\n"
+        "  contrary_of_r2 <- {r4}, {r8}\n"
+        "  contrary_of_r3 <- {r4}\n"
+        "  contrary_of_r4 <- {r2}, {r3}\n"
+        "  contrary_of_r8 <- {r2}\n"
+        "  int_r2_r4 <- {}\n"
+        "  int_r2_r8 <- {}\n"
+        "  int_r3_r4 <- {}\n"
+        "  r2 <- {r2}\n"
+        "  r3 <- {r3}\n"
+        "  r4 <- {r4}\n"
+        "  r8 <- {r8}\n"
+        "  ¬Exercise <- {r4}\n"
+        "  ¬High_Intensity_Exercise <- {r8}\n"
+        "  ¬Increase_Blood_Pressure <- {r8}\n"
+        "  ¬Increase_Body_Temperature <- {r4}\n"
+        "singleton attacks:\n"
+        "  {r2} attacks {r4} [normal] via contrary_of_r4 <- {r2}\n"
+        "  {r3} attacks {r4} [normal] via contrary_of_r4 <- {r3}\n"
+        "  {r4} attacks {r2} [normal] via contrary_of_r2 <- {r4}\n"
+        "  {r4} attacks {r3} [normal] via contrary_of_r3 <- {r4}\n"
+        "  {r8} attacks {r2} [normal] via contrary_of_r2 <- {r8}\n"
+        "  {r8} attacks {r2} [reverse] via contrary_of_r8 <- {r2}\n"
+        "canonical attackers:\n"
+        "  of {r2}: {r4}, {r8}\n"
+        "  of {r3}: {r4}\n"
+        "  of {r4}: {r2}, {r3}\n"
+        "  of {r8}: none\n"
+    )
+
+
+def test_explain_reads_textual_frameworks(tmp_path, capsys):
+    program = tmp_path / "case.aba"
+    program.write_text(GOAL_PROGRAM)
+    code, out, err = run(capsys, "explain", "--aba", str(program))
+    assert (code, err) == (0, "")
+    assert out == (
+        "supports:\n"
+        "  a <- {a}\n"
+        "  b <- {b}\n"
+        "  ca <- {b}\n"
+        "  cb <- {a}\n"
+        "  p <- {a}\n"
+        "  q <- {b}\n"
+        "singleton attacks:\n"
+        "  {a} attacks {b} [normal] via cb <- {a}\n"
+        "  {b} attacks {a} [normal] via ca <- {b}\n"
+        "canonical attackers:\n"
+        "  of {a}: {b}\n"
+        "  of {b}: {a}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +299,28 @@ def test_missing_files_exit_2(capsys):
     code, _, err = run(capsys, "solve", "--bundle", "no/such/file.json")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--bundle", "--aba"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe{}")
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, flag, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1, column 1: ")
+        assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_malformed_size_cap_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("ARGCLINIC_MAX_ASSUMPTIONS", value)
+    code, out, err = run(capsys, "solve", "--bundle", PATIENT_A)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ARGCLINIC_MAX_ASSUMPTIONS must be a non-negative integer, "
+        f"got {value!r}\n"
+    )
 
 
 def test_size_limit_exits_3(tmp_path, capsys, monkeypatch):
