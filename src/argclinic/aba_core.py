@@ -423,6 +423,26 @@ class _AttackTables:
                     if s & ~target == 0:
                         yield "reverse", i, s
 
+    @cached_property
+    def parts(self) -> tuple[int, ...]:
+        """The independent parts of the attack relation, as assumption masks.
+
+        Assumption ``i`` shares a part with every member of every support in
+        ``normal[i]`` and ``reverse[i]``, so each attack witness (a member
+        with one of those supports) lies inside one part.  The preference
+        only compares a member with its supports, so it splits the same way.
+        """
+        parts: list[int] = []
+        for i in range(len(self.normal)):
+            part = 1 << i
+            for s in self.normal[i] + self.reverse[i]:
+                part |= s
+            for other in [p for p in parts if p & part]:
+                parts.remove(other)
+                part |= other
+            parts.append(part)
+        return tuple(parts)
+
     def canonical_attacker_masks(self, target: int) -> frozenset[int]:
         found: set[int] = set()
         rest = target
@@ -579,12 +599,15 @@ def preferred_extensions(
 ) -> tuple[frozenset[Sentence], ...]:
     """All maximal admissible assumption sets, deterministically ordered.
 
-    Enumerates candidate sets by decreasing cardinality, skipping subsets of
-    extensions already found and supersets of known conflicting pairs.  The
-    empty set is admissible, so the result is never empty.  Raises
-    :class:`SizeLimitExceeded` when the assumption count exceeds the cap
-    (``size_cap`` argument, else the ARGCLINIC_MAX_ASSUMPTIONS environment
-    variable, else 24).
+    No attack witness spans two of :attr:`_AttackTables.parts`, so each part
+    is solved on its own and the result is every union of one preferred
+    extension per part.  Within a part, candidate sets go by decreasing
+    cardinality, skipping subsets of extensions already found and supersets
+    of known conflicting pairs, so the cost is exponential in the largest
+    part.  The empty set is admissible, so the result is never empty.
+    Raises :class:`SizeLimitExceeded` when the count of all assumptions
+    exceeds the cap (``size_cap`` argument, else the
+    ARGCLINIC_MAX_ASSUMPTIONS environment variable, else 24).
     """
     cap = _effective_cap(size_cap)
     n = len(framework.assumptions)
@@ -593,10 +616,18 @@ def preferred_extensions(
             f"{n} assumptions exceed the enumeration cap of {cap}"
         )
     tables = _attack_tables(framework)
+    combined = [0]
+    for part in tables.parts:
+        local = _preferred_masks(tables, part)
+        combined = [mask | ext for mask in combined for ext in local]
+    extensions = [tables.table.from_mask(m) for m in combined]
+    return tuple(sorted(extensions, key=extension_sort_key))
 
-    usable = [
-        i for i in range(n) if not tables.attacks(1 << i, 1 << i)
-    ]
+
+def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
+    """The preferred extensions of one part, as masks inside ``part``."""
+    members = [i for i in range(part.bit_length()) if part >> i & 1]
+    usable = [i for i in members if not tables.attacks(1 << i, 1 << i)]
     conflict_pairs = []
     for i, j in combinations(usable, 2):
         pair = (1 << i) | (1 << j)
@@ -621,6 +652,4 @@ def preferred_extensions(
         if found and k == len(usable):
             # the full candidate set is admissible; no other set is maximal
             break
-
-    extensions = [tables.table.from_mask(m) for m in found]
-    return tuple(sorted(extensions, key=extension_sort_key))
+    return found

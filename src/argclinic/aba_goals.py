@@ -59,8 +59,9 @@ def validate_abapg(
                     f"priority mentions {s.symbol!r}, which is not a declared goal"
                 )
     priority = Preorder.over(goal_set, raw)
-    for a in priority.carrier:
-        for b in priority.carrier:
+    ordered = sorted(priority.carrier)
+    for a in ordered:
+        for b in ordered:
             if not priority.leq(a, b) and not priority.leq(b, a):
                 raise PriorityNotTotal(
                     f"goals {a.symbol!r} and {b.symbol!r} are incomparable"

@@ -61,6 +61,20 @@ def aspirin_framework(with_preference: bool = True):
     )
 
 
+def attacked_pairs(pairs: int, free: int = 0):
+    """``pairs`` pairs in which a{2i+1} attacks a{2i}, then ``free`` more.
+
+    Its one preferred extension holds every assumption but the attacked ones.
+    """
+    return validate_framework(
+        RawFramework.of(
+            rules=[(f"c{2 * i}", [f"a{2 * i + 1}"]) for i in range(pairs)],
+            assumptions=[f"a{i}" for i in range(2 * pairs + free)],
+            contraries=[(f"a{2 * i}", f"c{2 * i}") for i in range(pairs)],
+        )
+    )
+
+
 @pytest.fixture()
 def aspirin_pref_framework():
     return aspirin_framework(with_preference=True)

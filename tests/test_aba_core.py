@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,12 +34,13 @@ from argclinic import (
 from argclinic.aba_core import transitive_closure
 from argclinic.generators import random_framework
 from argclinic.oracle import (
+    ORACLE_CAP,
     brute_force_attacks,
     brute_force_defends,
     brute_force_preferred,
 )
 
-from conftest import aspirin_framework
+from conftest import aspirin_framework, attacked_pairs
 
 
 def fw(rules=(), assumptions=(), contraries=(), preferences=()):
@@ -399,6 +401,138 @@ def test_enumeration_is_deterministic_across_runs():
     first = preferred_extensions(random_framework(random.Random(99)))
     second = preferred_extensions(random_framework(random.Random(99)))
     assert first == second
+
+
+# --- independent parts ----------------------------------------------------------------
+
+
+def _raw_of(framework: AbaFramework, prefix: str) -> RawFramework:
+    """``framework`` as raw input with every symbol prefixed by ``prefix``."""
+    return RawFramework.of(
+        rules=[
+            (prefix + r.head.symbol, [prefix + b.symbol for b in r.body])
+            for r in framework.rules
+        ],
+        assumptions=[prefix + a.symbol for a in framework.assumptions],
+        contraries=[
+            (prefix + a.symbol, prefix + c.symbol)
+            for a, c in framework.contrary_items
+        ],
+        preferences=[
+            (prefix + a.symbol, prefix + b.symbol)
+            for a, b in framework.preference.pairs
+        ],
+    )
+
+
+# Hand-built parts for the shapes a random framework may miss: a self-attacking
+# assumption, a contrary that is a fact, an attack reversed by a preference, a
+# reversed attack whose attacker is itself defeated (so the part must hold all
+# three), and one support that joins two otherwise unrelated assumptions.
+GADGETS = (
+    RawFramework.of([("c_x", ["x"])], ["x"], [("x", "c_x")]),
+    RawFramework.of([("c_f", [])], ["f"], [("f", "c_f")]),
+    RawFramework.of([("c_h", ["l"])], ["h", "l"], [("h", "c_h")], [("l", "h")]),
+    RawFramework.of(
+        [("c_h", ["k"]), ("c_h", ["l"])], ["h", "k", "l"], [("h", "c_h")], [("l", "h")]
+    ),
+    RawFramework.of(
+        [("c_c", ["a", "b"])], ["a", "b", "c"], [("c", "c_c")], [("b", "c")]
+    ),
+)
+
+
+def disjoint_union(rng: random.Random, min_size: int, max_size: int):
+    """A framework of renamed disjoint parts, and each part's own framework.
+
+    Parts of at most six assumptions are added until there are two or more and
+    the total reaches ``min_size``; ``max_size`` bounds the total.  Random
+    preference pairs join assumptions of different parts.  Each part's
+    framework keeps the union's closed preference restricted to its own
+    assumptions, which is all of the preference its attacks can consult.
+    """
+    raws: list[RawFramework] = []
+    size = 0
+    while size < min_size or len(raws) < 2:
+        prefix = f"p{len(raws)}_"
+        if rng.random() < 0.3:
+            part = _raw_of(validate_framework(rng.choice(GADGETS)), prefix)
+        else:
+            room = min(6, max_size - size)
+            part = _raw_of(random_framework(rng, max_assumptions=room), prefix)
+        if size + len(part.assumptions) > max_size:
+            continue
+        raws.append(part)
+        size += len(part.assumptions)
+    symbols = [a for raw in raws for a in raw.assumptions]
+    across = []
+    for _ in range(rng.randint(0, len(raws))):
+        low, high = rng.sample(symbols, 2)
+        if low.split("_")[0] != high.split("_")[0]:
+            across.append((low, high))
+    union = validate_framework(
+        RawFramework.of(
+            rules=[rule for raw in raws for rule in raw.rules],
+            assumptions=symbols,
+            contraries=[c for raw in raws for c in raw.contraries],
+            preferences=[p for raw in raws for p in raw.preferences] + across,
+        )
+    )
+    parts = []
+    for raw in raws:
+        own = set(raw.assumptions)
+        parts.append(
+            validate_framework(
+                RawFramework.of(
+                    raw.rules,
+                    raw.assumptions,
+                    raw.contraries,
+                    [
+                        (a.symbol, b.symbol)
+                        for a, b in union.preference.pairs
+                        if a.symbol in own and b.symbol in own
+                    ],
+                )
+            )
+        )
+    return union, parts
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_split_matches_the_oracle_on_disjoint_unions(seed):
+    # The oracle's cost grows steeply with size, so these unions stay small.
+    union, parts = disjoint_union(random.Random(seed), 2, min(8, ORACLE_CAP))
+    assert len(parts) >= 2
+    extensions = preferred_extensions(union)
+    assert list(extensions) == sorted(extensions, key=extension_sort_key)
+    assert set(extensions) == set(brute_force_preferred(union))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_split_beyond_the_oracle_cap_is_the_product_of_the_parts(seed):
+    union, parts = disjoint_union(random.Random(seed), ORACLE_CAP + 1, 24)
+    assert len(union.assumptions) > ORACLE_CAP
+    expected = {
+        frozenset().union(*choice)
+        for choice in product(*(preferred_extensions(p) for p in parts))
+    }
+    extensions = preferred_extensions(union)
+    assert list(extensions) == sorted(extensions, key=extension_sort_key)
+    assert set(extensions) == expected
+
+
+@pytest.mark.parametrize("pairs, free", [(1, 22), (12, 0)])
+def test_attacked_pairs_at_the_default_cap_keep_all_but_the_attacked(
+    monkeypatch, pairs, free
+):
+    # The whole-framework sweep took minutes on these.
+    monkeypatch.delenv("ARGCLINIC_MAX_ASSUMPTIONS", raising=False)
+    framework = attacked_pairs(pairs, free)
+    attacked = sset(*(f"a{2 * i}" for i in range(pairs)))
+    expected = frozenset(framework.assumptions) - attacked
+    assert preferred_extensions(framework) == (expected,)
 
 
 # --- the size cap -------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from argclinic import parse_aba_text, validate_framework
+import argclinic
+from argclinic import parse_aba_text, serialize_framework, validate_framework
 from argclinic.cli import main
 from argclinic.mapper import build_patient_framework
 
-from conftest import FIXTURES
+from conftest import FIXTURES, attacked_pairs
 
 PATIENT_A = str(FIXTURES / "patient_a.json")
 ASPIRIN_PREF = str(FIXTURES / "aspirin_patient_pref.json")
@@ -334,6 +339,54 @@ def test_size_limit_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "--aba", str(program))
     assert code == 3
     assert "4 assumptions" in err
+
+
+@pytest.mark.parametrize(
+    "pairs, free, kept",
+    [
+        (1, 22, [f"a{i}" for i in range(1, 24)]),
+        (12, 0, [f"a{2 * i + 1}" for i in range(12)]),
+    ],
+)
+def test_solve_at_the_default_cap_gives_the_closed_form(
+    tmp_path, capsys, monkeypatch, pairs, free, kept
+):
+    monkeypatch.delenv("ARGCLINIC_MAX_ASSUMPTIONS", raising=False)
+    program = tmp_path / "pairs.aba"
+    program.write_text(serialize_framework(attacked_pairs(pairs, free)))
+    code, out, err = run(capsys, "solve", "--aba", str(program))
+    assert (code, err) == (0, "")
+    assert out == "preferred extensions:\n  {" + ", ".join(sorted(kept)) + "}\n"
+
+
+def test_default_cap_still_rejects_25_assumptions(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ARGCLINIC_MAX_ASSUMPTIONS", raising=False)
+    program = tmp_path / "pairs.aba"
+    program.write_text(serialize_framework(attacked_pairs(12, free=1)))
+    code, out, err = run(capsys, "solve", "--aba", str(program))
+    assert (code, out) == (3, "")
+    assert err == "error: 25 assumptions exceed the enumeration cap of 24\n"
+
+
+def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path):
+    program = tmp_path / "goals.aba"
+    program.write_text(
+        "assumption(a).\n"
+        "rule(p, [a]).\nrule(q, [a]).\nrule(s, [a]).\n"
+        "goal(p).\ngoal(q).\ngoal(s).\n"
+    )
+    src = str(Path(argclinic.__file__).resolve().parent.parent)
+    results = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "argclinic.cli", "check", "--aba", str(program)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        results.add((done.returncode, done.stdout, done.stderr))
+    assert results == {(1, "", "error: goals 'p' and 'q' are incomparable\n")}
 
 
 def test_oracle_cap_exits_3(capsys):
