@@ -1,173 +1,46 @@
-"""JSON guideline bundles: schema validation, parsing, canonical output.
+"""JSON guideline bundles: checked parsing and canonical output.
 
 A bundle carries recommendations, interactions, and a patient context in one
-document.  Parsing validates the document shape against a JSON schema (with
-JSON-pointer diagnostics), normalises display terms (whitespace collapsed,
-``not`` accepted for ``¬``), and then applies the semantic validators.
-Parsed bundles are canonical: recommendations sorted by name, interactions
-sorted by endpoints, preference and priority closed.  ``serialize_bundle``
-therefore round-trips exactly.
+document.  ``parse_bundle`` reads it in one walk, in document order (metadata,
+recommendations, interactions, context): each value is checked against the
+bundle's shape as it is read, and the first defect raises ``SchemaError``
+with the JSON pointer of the offending value.  Display terms are normalised
+(whitespace collapsed, ``not`` accepted for ``¬``) and the semantic
+validators run on the values read.  Parsed bundles are canonical:
+recommendations sorted by name, interactions sorted by endpoints, preference
+and priority closed.  ``serialize_bundle`` therefore round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
-
-import jsonschema
+from typing import Any, Callable, Mapping
 
 from .errors import DuplicateName, IncompatibleContext, ParseError, SchemaError
 from .tmr import (
+    CONTRIBUTIONS,
     Context,
+    DeonticStrength,
     GoalTerm,
     Interaction,
+    Modal,
     Recommendation,
     StateTerm,
+    Track,
     validate_context,
     validate_interaction,
-    validate_recommendation,
 )
 
-_NAME_PATTERN = r"^[A-Za-z0-9_.-]+$"
-_TERM_PATTERN = r"^[A-Za-z0-9_. -]+$"
-_GOAL_STRING_PATTERN = r"^(¬|not )?[A-Za-z0-9_. -]+$"
+_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+_TERM = re.compile(r"[A-Za-z0-9_. -]+")
+_GOAL_STRING = re.compile(r"(¬|not )?[A-Za-z0-9_. -]+")
 
-_TERM_RE = re.compile(_TERM_PATTERN)
+_MODALS = tuple(m.value for m in Modal)
 
-_TERM = {"type": "string", "pattern": _TERM_PATTERN, "minLength": 1}
-_NAME = {"type": "string", "pattern": _NAME_PATTERN, "minLength": 1}
-
-_GOAL_OBJECT = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["effect", "property"],
-    "properties": {
-        "effect": _TERM,
-        "property": _TERM,
-        "negated": {"type": "boolean"},
-    },
-}
-
-_GOAL_REF = {
-    "oneOf": [
-        {"type": "string", "pattern": _GOAL_STRING_PATTERN, "minLength": 1},
-        _GOAL_OBJECT,
-    ]
-}
-
-BUNDLE_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["recommendations"],
-    "properties": {
-        "metadata": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "version": {"type": "string"},
-            },
-        },
-        "recommendations": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "action", "deontic_strength", "tracks"],
-                "properties": {
-                    "name": _NAME,
-                    "action": _TERM,
-                    "deontic_strength": {
-                        "oneOf": [{"type": "string"}, {"type": "number"}]
-                    },
-                    "tracks": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": [
-                                "property",
-                                "effect",
-                                "initial_value",
-                                "contribution",
-                            ],
-                            "properties": {
-                                "property": _TERM,
-                                "effect": _TERM,
-                                "initial_value": {
-                                    "oneOf": [_TERM, {"type": "null"}]
-                                },
-                                "contribution": {"enum": ["+", "-", "0"]},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "interactions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["first", "second", "modal"],
-                "properties": {
-                    "first": _NAME,
-                    "second": _NAME,
-                    "modal": {"enum": ["certain", "uncertain"]},
-                },
-            },
-        },
-        "context": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "patient_state": {
-                    "type": "array",
-                    "items": {
-                        "oneOf": [
-                            _TERM,
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["property"],
-                                "properties": {
-                                    "property": _TERM,
-                                    "value": _TERM,
-                                },
-                            },
-                        ]
-                    },
-                },
-                "goals": {"type": "array", "items": _GOAL_REF},
-                "action_preference": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": _TERM,
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-                "goal_priority": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": _GOAL_REF,
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-    },
-}
-
-_VALIDATOR = jsonschema.Draft202012Validator(BUNDLE_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
 @dataclass(frozen=True)
@@ -178,25 +51,157 @@ class GuidelineBundle:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
 
+# --- shape checks: each returns the value it checked ----------------------------
+
+
+def _typed(raw: Any, kind: str, pointer: str) -> Any:
+    if not isinstance(raw, _TYPES[kind]):
+        raise SchemaError(f"{raw!r} is not of type {kind!r}", pointer)
+    return raw
+
+
+def _object(raw: Any, pointer: str, required=(), optional=()) -> dict:
+    _typed(raw, "object", pointer)
+    extras = sorted((k for k in raw if k not in required and k not in optional), key=str)
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(repr(k) for k in extras)
+        raise SchemaError(
+            f"Additional properties are not allowed ({names} {verb} unexpected)", pointer
+        )
+    for key in required:
+        if key not in raw:
+            raise SchemaError(f"{key!r} is a required property", pointer)
+    return raw
+
+
+def _array(raw: Any, pointer: str, min_items: int = 0, max_items: int | None = None) -> list:
+    _typed(raw, "array", pointer)
+    if len(raw) < min_items:
+        problem = "should be non-empty" if min_items == 1 else "is too short"
+        raise SchemaError(f"{raw!r} {problem}", pointer)
+    if max_items is not None and len(raw) > max_items:
+        raise SchemaError(f"{raw!r} is too long", pointer)
+    return raw
+
+
+def _string(raw: Any, pointer: str, pattern: re.Pattern | None = None) -> str:
+    _typed(raw, "string", pointer)
+    if pattern is not None and not pattern.fullmatch(raw):
+        raise SchemaError(f"{raw!r} does not match {'^' + pattern.pattern + '$'!r}", pointer)
+    return raw
+
+
+def _enum(raw: Any, pointer: str, allowed: tuple) -> Any:
+    if raw not in allowed:
+        raise SchemaError(f"{raw!r} is not one of {list(allowed)!r}", pointer)
+    return raw
+
+
+def _neither(raw: Any, pointer: str) -> SchemaError:
+    """The error for a value that takes neither of its two forms."""
+    return SchemaError(f"{raw!r} is not valid under any of the given schemas", pointer)
+
+
+def _items(raw: Any, pointer: str, read: Callable, min_items: int = 0) -> list:
+    return [
+        read(item, f"{pointer}/{index}")
+        for index, item in enumerate(_array(raw, pointer, min_items))
+    ]
+
+
+def _pairs(raw: Any, pointer: str, read: Callable) -> list:
+    pairs = []
+    for index, pair in enumerate(_array(raw, pointer)):
+        at = f"{pointer}/{index}"
+        low, high = _array(pair, at, 2, 2)
+        pairs.append((read(low, f"{at}/0"), read(high, f"{at}/1")))
+    return pairs
+
+
+# --- readers: shape check and value in one step ----------------------------------
+
+
 def _normalize(term: str) -> str:
     return " ".join(term.split())
 
 
-def _parse_goal_ref(raw: Any, pointer: str) -> GoalTerm:
-    if isinstance(raw, Mapping):
+def _term(raw: Any, pointer: str) -> str:
+    return _normalize(_string(raw, pointer, _TERM))
+
+
+def _initial_value(raw: Any, pointer: str) -> str | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, str):
+        raise _neither(raw, pointer)
+    return _term(raw, pointer)
+
+
+def _track(raw: Any, pointer: str) -> Track:
+    _object(raw, pointer, ("property", "effect", "initial_value", "contribution"))
+    return Track(
+        property=_term(raw["property"], f"{pointer}/property"),
+        effect=_term(raw["effect"], f"{pointer}/effect"),
+        initial_value=_initial_value(raw["initial_value"], f"{pointer}/initial_value"),
+        contribution=_enum(raw["contribution"], f"{pointer}/contribution", CONTRIBUTIONS),
+    )
+
+
+def _recommendation(raw: Any, pointer: str, names: set[str]) -> Recommendation:
+    _object(raw, pointer, ("name", "action", "deontic_strength", "tracks"))
+    name = _string(raw["name"], f"{pointer}/name", _NAME)
+    if name in names:
+        raise DuplicateName(f"recommendation name {name!r} appears twice", f"{pointer}/name")
+    names.add(name)
+    action = _term(raw["action"], f"{pointer}/action")
+    strength = raw["deontic_strength"]
+    if isinstance(strength, bool) or not isinstance(strength, (str, numbers.Number)):
+        raise _neither(strength, f"{pointer}/deontic_strength")
+    return Recommendation(
+        name=name,
+        action=action,
+        strength=DeonticStrength.parse(strength),
+        tracks=tuple(_items(raw["tracks"], f"{pointer}/tracks", _track, min_items=1)),
+    )
+
+
+def _interaction(raw: Any, pointer: str, names: set[str]) -> Interaction:
+    _object(raw, pointer, ("first", "second", "modal"))
+    return validate_interaction(
+        _string(raw["first"], f"{pointer}/first", _NAME),
+        _string(raw["second"], f"{pointer}/second", _NAME),
+        _enum(raw["modal"], f"{pointer}/modal", _MODALS),
+        names,
+    )
+
+
+def _state_term(raw: Any, pointer: str) -> StateTerm:
+    if isinstance(raw, str):
+        return StateTerm(property=_term(raw, pointer))
+    if not isinstance(raw, dict):
+        raise _neither(raw, pointer)
+    _object(raw, pointer, ("property",), ("value",))
+    return StateTerm(
+        property=_term(raw["property"], f"{pointer}/property"),
+        value=_term(raw["value"], f"{pointer}/value") if "value" in raw else None,
+    )
+
+
+def _goal(raw: Any, pointer: str) -> GoalTerm:
+    if isinstance(raw, dict):
+        _object(raw, pointer, ("effect", "property"), ("negated",))
         return GoalTerm(
-            effect=_normalize(raw["effect"]),
-            property=_normalize(raw["property"]),
-            negated=bool(raw.get("negated", False)),
+            effect=_term(raw["effect"], f"{pointer}/effect"),
+            property=_term(raw["property"], f"{pointer}/property"),
+            negated=_typed(raw.get("negated", False), "boolean", f"{pointer}/negated"),
         )
-    text = raw
-    negated = False
-    if text.startswith("¬"):
-        negated = True
-        text = text[1:]
-    elif text.startswith("not "):
-        negated = True
-        text = text[4:]
+    if not isinstance(raw, str):
+        raise _neither(raw, pointer)
+    text = _string(raw, pointer, _GOAL_STRING)
+    negated = text.startswith(("¬", "not "))
+    if negated:
+        text = text[1:] if text.startswith("¬") else text[4:]
     words = _normalize(text).split(" ")
     if len(words) < 2:
         raise SchemaError(
@@ -207,90 +212,42 @@ def _parse_goal_ref(raw: Any, pointer: str) -> GoalTerm:
     return GoalTerm(effect=words[0], property=" ".join(words[1:]), negated=negated)
 
 
-def _parse_state_term(raw: Any) -> StateTerm:
-    if isinstance(raw, Mapping):
-        value = raw.get("value")
-        return StateTerm(
-            property=_normalize(raw["property"]),
-            value=_normalize(value) if value is not None else None,
-        )
-    return StateTerm(property=_normalize(raw))
+def _bundle(data: Any) -> GuidelineBundle:
+    _object(data, "/", ("recommendations",), ("metadata", "interactions", "context"))
+    metadata = _object(data.get("metadata", {}), "/metadata", (), ("name", "version"))
+    for key, value in metadata.items():
+        _string(value, f"/metadata/{key}")
 
+    names: set[str] = set()
+    recommendations = _items(
+        data["recommendations"],
+        "/recommendations",
+        lambda raw, pointer: _recommendation(raw, pointer, names),
+        min_items=1,
+    )
+    interactions = _items(
+        data.get("interactions", []),
+        "/interactions",
+        lambda raw, pointer: _interaction(raw, pointer, names),
+    )
 
-def parse_bundle(source: str | bytes | Mapping) -> GuidelineBundle:
-    """Read and validate a guideline bundle from JSON text or a mapping."""
-    if isinstance(source, (str, bytes)):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    else:
-        data = source
+    raw_context = _object(
+        data.get("context", {}),
+        "/context",
+        (),
+        ("patient_state", "goals", "action_preference", "goal_priority"),
+    )
+    patient_state = _items(
+        raw_context.get("patient_state", []), "/context/patient_state", _state_term
+    )
+    goals = _items(raw_context.get("goals", []), "/context/goals", _goal)
+    action_preference = _pairs(
+        raw_context.get("action_preference", []), "/context/action_preference", _term
+    )
+    goal_priority = _pairs(raw_context.get("goal_priority", []), "/context/goal_priority", _goal)
 
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-    if error is not None:
-        pointer = "/" + "/".join(str(p) for p in error.absolute_path)
-        raise SchemaError(error.message, pointer) from None
-
-    recommendations = []
-    seen_names = set()
-    for index, item in enumerate(data["recommendations"]):
-        name = item["name"]
-        if name in seen_names:
-            raise DuplicateName(
-                f"recommendation name {name!r} appears twice",
-                f"/recommendations/{index}/name",
-            )
-        seen_names.add(name)
-        recommendations.append(
-            validate_recommendation(
-                {
-                    "name": name,
-                    "action": _normalize(item["action"]),
-                    "deontic_strength": item["deontic_strength"],
-                    "tracks": [
-                        {
-                            "property": _normalize(t["property"]),
-                            "effect": _normalize(t["effect"]),
-                            "initial_value": (
-                                _normalize(t["initial_value"])
-                                if t["initial_value"] is not None
-                                else None
-                            ),
-                            "contribution": t["contribution"],
-                        }
-                        for t in item["tracks"]
-                    ],
-                }
-            )
-        )
     recommendations.sort(key=lambda r: r.name)
-
-    interactions = [
-        validate_interaction(item["first"], item["second"], item["modal"], seen_names)
-        for item in data.get("interactions", ())
-    ]
     interactions.sort(key=lambda i: (i.first, i.second, i.modal.value))
-
-    raw_context = data.get("context", {})
-    patient_state = [
-        _parse_state_term(term) for term in raw_context.get("patient_state", ())
-    ]
-    goals = [
-        _parse_goal_ref(term, f"/context/goals/{i}")
-        for i, term in enumerate(raw_context.get("goals", ()))
-    ]
-    action_preference = [
-        (_normalize(low), _normalize(high))
-        for low, high in raw_context.get("action_preference", ())
-    ]
-    goal_priority = [
-        (
-            _parse_goal_ref(low, f"/context/goal_priority/{i}/0"),
-            _parse_goal_ref(high, f"/context/goal_priority/{i}/1"),
-        )
-        for i, (low, high) in enumerate(raw_context.get("goal_priority", ()))
-    ]
     try:
         context = validate_context(
             recommendations,
@@ -303,13 +260,31 @@ def parse_bundle(source: str | bytes | Mapping) -> GuidelineBundle:
         # Same error, located: bundle callers get a JSON pointer to chase.
         raise type(exc)(f"{exc} (at /context)") from None
 
-    metadata = dict(data.get("metadata", {}))
     return GuidelineBundle(
         recommendations=tuple(recommendations),
         interactions=tuple(interactions),
         context=context,
-        metadata=metadata,
+        metadata=dict(metadata),
     )
+
+
+def _load(source: str | bytes) -> Any:
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError as exc:
+        # Text that is not UTF-8, or an integer literal longer than
+        # ``sys.get_int_max_str_digits()``; neither carries a position.
+        raise ParseError(str(exc), 1, 1) from None
+
+
+def parse_bundle(source: str | bytes | Mapping) -> GuidelineBundle:
+    """Read and check a guideline bundle from JSON text or a mapping."""
+    try:
+        return _bundle(_load(source) if isinstance(source, (str, bytes)) else source)
+    except RecursionError:
+        raise ParseError("arrays and objects nest too deeply to read", 1, 1) from None
 
 
 def _strength_json(rec: Recommendation):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
 from .aba_core import transitive_closure
@@ -65,7 +66,12 @@ class DeonticStrength:
 
     @classmethod
     def from_number(cls, value: float | int | Fraction) -> "DeonticStrength":
-        exact = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+        try:
+            exact = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+        except (ValueError, OverflowError):  # NaN or an infinity
+            raise DsOutOfRange(
+                f"deontic strength {value!r} is not a finite number in [-1, 1]"
+            ) from None
         return cls(exact)
 
     @classmethod
@@ -174,12 +180,21 @@ def contradiction_free(names: Iterable[str], interactions: Iterable[Interaction]
     )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class StateTerm:
-    """A patient-state observation: a property, optionally with its value."""
+    """A patient-state observation: a property, optionally with its value.
+
+    Terms sort by property, and a bare property before its valued forms.
+    """
 
     property: str
     value: str | None = None
+
+    def __lt__(self, other: "StateTerm") -> bool:
+        return (self.property, self.value is not None, self.value or "") < (
+            other.property, other.value is not None, other.value or ""
+        )
 
     def display(self) -> str:
         if self.value is None:

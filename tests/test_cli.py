@@ -389,6 +389,68 @@ def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path):
     assert results == {(1, "", "error: goals 'p' and 'q' are incomparable\n")}
 
 
+def run_fresh(*args):
+    """Run Python in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(argclinic.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+
+
+def strength_bundle(strength: str) -> str:
+    return (
+        '{"recommendations": [{"name": "r1", "action": "walk", '
+        f'"deontic_strength": {strength}, "tracks": [{{"property": "Pain", '
+        '"effect": "Decrease", "initial_value": null, "contribution": "+"}]}]}'
+    )
+
+
+@pytest.mark.parametrize("strength", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_strengths_exit_1(tmp_path, strength):
+    bundle = tmp_path / "case.json"
+    bundle.write_text(strength_bundle(strength))
+    for command in ("check", "solve"):
+        done = run_fresh("-m", "argclinic.cli", command, "--bundle", str(bundle))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: deontic strength ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 200000 + "]" * 200000, "nest too deeply"),
+        (strength_bundle("1" * 5000), "integer string conversion"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_unreadable_json_exits_2(tmp_path, text, message):
+    bundle = tmp_path / "case.json"
+    bundle.write_text(text)
+    done = run_fresh("-m", "argclinic.cli", "check", "--bundle", str(bundle))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: line 1, column 1: ")
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import argclinic.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "    if m.partition('.')[0] not in sys.stdlib_module_names\n"
+        "    and m.partition('.')[0] != 'argclinic'))\n"
+    )
+    done = run_fresh("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_oracle_cap_exits_3(capsys):
     code, _, err = run(capsys, "oracle", "--max-assumptions", "16")
     assert code == 3

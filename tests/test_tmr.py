@@ -105,6 +105,19 @@ def test_out_of_range_strengths_are_rejected():
         DeonticStrength.parse(-2)
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), 1e400], ids=["nan", "inf", "-inf", "1e400"]
+)
+def test_non_finite_strengths_are_out_of_range(value):
+    with pytest.raises(DsOutOfRange, match="not a finite number"):
+        DeonticStrength.from_number(value)
+
+
+def test_huge_integer_strengths_are_out_of_range():
+    with pytest.raises(DsOutOfRange):
+        DeonticStrength.from_number(10**400)
+
+
 def test_unreadable_strengths_are_rejected():
     with pytest.raises(UnknownLandmark, match="ought"):
         DeonticStrength.parse("ought")
@@ -241,6 +254,12 @@ def test_a_full_context_validates_and_closes():
 
 def test_bare_state_terms_match_any_tracked_value():
     validate_context(CARE_RECS, patient_state=[StateTerm("Swelling")])
+
+
+def test_a_bare_state_term_sorts_before_its_valued_forms():
+    terms = [StateTerm("Pain", "Low"), StateTerm("Fatigue"), StateTerm("Pain")]
+    assert sorted(terms) == [StateTerm("Fatigue"), StateTerm("Pain"), StateTerm("Pain", "Low")]
+    assert StateTerm("Pain") < StateTerm("Pain", "High") <= StateTerm("Pain", "Low")
 
 
 def test_unknown_state_properties_are_rejected():
