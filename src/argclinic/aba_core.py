@@ -81,16 +81,22 @@ def transitive_closure(
     pairs: Iterable[tuple[_T, _T]],
     carrier: Iterable[_T],
 ) -> frozenset[tuple[_T, _T]]:
-    """Reflexive-transitive closure of ``pairs`` over a sortable ``carrier``."""
-    items = sorted(set(carrier))
-    closed: set[tuple[_T, _T]] = {(x, x) for x in items}
+    """Reflexive-transitive closure of ``pairs`` over ``carrier``.
+
+    Only carrier members chain: a pair through a node outside the carrier is
+    kept as given.  The Warshall pass runs over the carrier members that
+    occur in a non-reflexive pair; any other member can only add its own
+    reflexive pair, which is already there.
+    """
+    members = set(carrier)
+    closed: set[tuple[_T, _T]] = {(x, x) for x in members}
     closed.update(pairs)
-    # Warshall pass; the carriers involved stay small.
-    for k in items:
-        for i in items:
+    linked = {x for a, b in closed if a != b for x in (a, b)} & members
+    for k in linked:
+        for i in linked:
             if (i, k) not in closed:
                 continue
-            for j in items:
+            for j in linked:
                 if (k, j) in closed:
                     closed.add((i, j))
     return frozenset(closed)
@@ -175,15 +181,6 @@ class AbaFramework:
 
     def contrary(self, assumption: Sentence) -> Sentence:
         return self.contrary_map[assumption]
-
-    @cached_property
-    def language(self) -> frozenset[Sentence]:
-        sentences: set[Sentence] = set(self.assumptions)
-        sentences.update(c for _, c in self.contrary_items)
-        for rule in self.rules:
-            sentences.add(rule.head)
-            sentences.update(rule.body)
-        return frozenset(sentences)
 
     @cached_property
     def assumption_order(self) -> tuple[Sentence, ...]:
@@ -443,6 +440,11 @@ class _AttackTables:
             parts.append(part)
         return tuple(parts)
 
+    @cached_property
+    def reverse_owners(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(i, reverse[i])`` for each assumption with a reverse support."""
+        return tuple((i, masks) for i, masks in enumerate(self.reverse) if masks)
+
     def canonical_attacker_masks(self, target: int) -> frozenset[int]:
         found: set[int] = set()
         rest = target
@@ -451,8 +453,8 @@ class _AttackTables:
             i = low.bit_length() - 1
             found.update(self.normal[i])
             rest ^= low
-        for i in range(len(self.reverse)):
-            if any(s & ~target == 0 for s in self.reverse[i]):
+        for i, masks in self.reverse_owners:
+            if any(s & ~target == 0 for s in masks):
                 found.add(1 << i)
         return frozenset(found)
 
@@ -461,14 +463,12 @@ class _AttackTables:
 def _attack_tables(framework: AbaFramework) -> _AttackTables:
     table = compute_supports(framework)
     order = table.order
-    prefer = framework.preference
-    below = []
-    for b in order:
-        mask = 0
-        for i, a in enumerate(order):
-            if prefer.strictly_less(a, b):
-                mask |= 1 << i
-        below.append(mask)
+    position = table.position
+    # below[i]: the assumptions strictly less preferred than order[i]
+    below = [0] * len(order)
+    for a, b in framework.preference.strict_pairs:
+        if a in position and b in position:
+            below[position[b]] |= 1 << position[a]
     normal: list[tuple[int, ...]] = []
     reverse: list[tuple[int, ...]] = []
     for i, b in enumerate(order):
@@ -626,7 +626,12 @@ def preferred_extensions(
 
 def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
     """The preferred extensions of one part, as masks inside ``part``."""
-    members = [i for i in range(part.bit_length()) if part >> i & 1]
+    members = []
+    rest = part
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
     usable = [i for i in members if not tables.attacks(1 << i, 1 << i)]
     conflict_pairs = []
     for i, j in combinations(usable, 2):

@@ -25,7 +25,11 @@ from .errors import ParseError
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_.¬-]+")
 
-_PUNCTUATION = set("()[],.")
+# One alternative per token class: whitespace (skipped), punctuation or
+# symbol (punctuation first, so a lone '.' is punctuation), a comment, and a
+# stray character.  ``lastindex`` names the class; whitespace has none.
+_TOKEN_RE = re.compile(r"[ \t]+|([()\[\],.]|" + SYMBOL_RE.pattern + r")|(#)|(.)")
+_TOKEN, _COMMENT = 1, 2
 
 STATEMENT_KEYWORDS = (
     "assumption",
@@ -50,42 +54,27 @@ class ParsedProgram:
         return bool(self.goals) or bool(self.priorities)
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    column: int
-
-
-def _tokenize_line(line: str, line_no: int) -> list[_Token]:
+def _tokenize_line(line: str, line_no: int) -> list[tuple[str, int]]:
+    """The ``(text, column)`` tokens of one line, up to any comment."""
     tokens = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for match in _TOKEN_RE.finditer(line):
+        kind = match.lastindex
+        if kind == _TOKEN:
+            tokens.append((match.group(_TOKEN), match.start() + 1))
+        elif kind == _COMMENT:
             break
-        if ch in _PUNCTUATION:
-            tokens.append(_Token(ch, i + 1))
-            i += 1
-            continue
-        match = SYMBOL_RE.match(line, i)
-        if match:
-            tokens.append(_Token(match.group(), i + 1))
-            i = match.end()
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}",
-            line_no,
-            i + 1,
-            expected="a symbol, punctuation, or '#'",
-        )
+        elif kind is not None:
+            raise ParseError(
+                f"unexpected character {match.group()!r}",
+                line_no,
+                match.start() + 1,
+                expected="a symbol, punctuation, or '#'",
+            )
     return tokens
 
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_length: int):
+    def __init__(self, tokens: list[tuple[str, int]], line_no: int, line_length: int):
         self.tokens = tokens
         self.line_no = line_no
         self.line_length = line_length
@@ -93,11 +82,11 @@ class _LineParser:
 
     def _fail(self, expected: str) -> ParseError:
         if self.pos < len(self.tokens):
-            token = self.tokens[self.pos]
+            text, column = self.tokens[self.pos]
             return ParseError(
-                f"expected {expected}, found {token.text!r}",
+                f"expected {expected}, found {text!r}",
                 self.line_no,
-                token.column,
+                column,
                 expected=expected,
             )
         return ParseError(
@@ -107,31 +96,30 @@ class _LineParser:
             expected=expected,
         )
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> str | None:
+        """The text of the next token, or None at the end of the line."""
         if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
+            return self.tokens[self.pos][0]
         return None
 
-    def expect(self, text: str) -> _Token:
-        token = self.peek()
-        if token is None or token.text != text:
+    def expect(self, text: str) -> None:
+        if self.peek() != text:
             raise self._fail(f"{text!r}")
         self.pos += 1
-        return token
 
     def symbol(self) -> str:
-        token = self.peek()
-        if token is None or not SYMBOL_RE.fullmatch(token.text):
+        text = self.peek()
+        if text is None or not SYMBOL_RE.fullmatch(text):
             raise self._fail("a symbol")
         self.pos += 1
-        return token.text
+        return text
 
     def keyword(self) -> str:
-        token = self.peek()
-        if token is None or token.text not in STATEMENT_KEYWORDS:
+        text = self.peek()
+        if text not in STATEMENT_KEYWORDS:
             raise self._fail("a statement keyword " + "/".join(STATEMENT_KEYWORDS))
         self.pos += 1
-        return token.text
+        return text
 
     def end(self) -> None:
         if self.pos != len(self.tokens):
@@ -174,16 +162,11 @@ def parse_aba_text(text: str) -> ParsedProgram:
             parser.expect(",")
             parser.expect("[")
             body: list[str] = []
-            token = parser.peek()
-            if token is not None and token.text != "]":
+            if parser.peek() not in (None, "]"):
                 body.append(parser.symbol())
-                while True:
-                    token = parser.peek()
-                    if token is not None and token.text == ",":
-                        parser.expect(",")
-                        body.append(parser.symbol())
-                    else:
-                        break
+                while parser.peek() == ",":
+                    parser.expect(",")
+                    body.append(parser.symbol())
             parser.expect("]")
             rules.append((head, tuple(body)))
         parser.expect(")")

@@ -53,10 +53,17 @@ class GuidelineBundle:
 
 # --- shape checks: each returns the value it checked ----------------------------
 
+_SHOWN = 80
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to its first 80 characters plus ``...``, so errors stay one short line."""
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
 
 def _typed(raw: Any, kind: str, pointer: str) -> Any:
     if not isinstance(raw, _TYPES[kind]):
-        raise SchemaError(f"{raw!r} is not of type {kind!r}", pointer)
+        raise SchemaError(f"{_cut(repr(raw))} is not of type {kind!r}", pointer)
     return raw
 
 
@@ -65,7 +72,7 @@ def _object(raw: Any, pointer: str, required=(), optional=()) -> dict:
     extras = sorted((k for k in raw if k not in required and k not in optional), key=str)
     if extras:
         verb = "was" if len(extras) == 1 else "were"
-        names = ", ".join(repr(k) for k in extras)
+        names = _cut(", ".join(repr(k) for k in extras))
         raise SchemaError(
             f"Additional properties are not allowed ({names} {verb} unexpected)", pointer
         )
@@ -79,28 +86,29 @@ def _array(raw: Any, pointer: str, min_items: int = 0, max_items: int | None = N
     _typed(raw, "array", pointer)
     if len(raw) < min_items:
         problem = "should be non-empty" if min_items == 1 else "is too short"
-        raise SchemaError(f"{raw!r} {problem}", pointer)
+        raise SchemaError(f"{_cut(repr(raw))} {problem}", pointer)
     if max_items is not None and len(raw) > max_items:
-        raise SchemaError(f"{raw!r} is too long", pointer)
+        raise SchemaError(f"{_cut(repr(raw))} is too long", pointer)
     return raw
 
 
 def _string(raw: Any, pointer: str, pattern: re.Pattern | None = None) -> str:
     _typed(raw, "string", pointer)
     if pattern is not None and not pattern.fullmatch(raw):
-        raise SchemaError(f"{raw!r} does not match {'^' + pattern.pattern + '$'!r}", pointer)
+        anchored = "^" + pattern.pattern + "$"
+        raise SchemaError(f"{_cut(repr(raw))} does not match {anchored!r}", pointer)
     return raw
 
 
 def _enum(raw: Any, pointer: str, allowed: tuple) -> Any:
     if raw not in allowed:
-        raise SchemaError(f"{raw!r} is not one of {list(allowed)!r}", pointer)
+        raise SchemaError(f"{_cut(repr(raw))} is not one of {list(allowed)!r}", pointer)
     return raw
 
 
 def _neither(raw: Any, pointer: str) -> SchemaError:
     """The error for a value that takes neither of its two forms."""
-    return SchemaError(f"{raw!r} is not valid under any of the given schemas", pointer)
+    return SchemaError(f"{_cut(repr(raw))} is not valid under any of the given schemas", pointer)
 
 
 def _items(raw: Any, pointer: str, read: Callable, min_items: int = 0) -> list:
@@ -205,7 +213,7 @@ def _goal(raw: Any, pointer: str) -> GoalTerm:
     words = _normalize(text).split(" ")
     if len(words) < 2:
         raise SchemaError(
-            f"goal {raw!r} needs an effect and a property "
+            f"goal {_cut(repr(raw))} needs an effect and a property "
             "(e.g. 'Decrease Blood Pressure')",
             pointer,
         )

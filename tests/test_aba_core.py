@@ -31,7 +31,7 @@ from argclinic import (
     preferred_extensions,
     validate_framework,
 )
-from argclinic.aba_core import transitive_closure
+from argclinic.aba_core import _attack_tables, transitive_closure
 from argclinic.generators import random_framework
 from argclinic.oracle import (
     ORACLE_CAP,
@@ -130,6 +130,36 @@ def test_transitive_closure_chains():
     pairs = [(Sentence("a"), Sentence("b")), (Sentence("b"), Sentence("c"))]
     closed = transitive_closure(pairs, carrier)
     assert (Sentence("a"), Sentence("c")) in closed
+
+
+def _full_carrier_warshall(pairs, carrier):
+    """A literal Warshall pass over the whole sorted carrier."""
+    items = sorted(set(carrier))
+    closed = {(x, x) for x in items}
+    closed.update(pairs)
+    for k in items:
+        for i in items:
+            if (i, k) not in closed:
+                continue
+            for j in items:
+                if (k, j) in closed:
+                    closed.add((i, j))
+    return frozenset(closed)
+
+
+def test_transitive_closure_matches_a_full_carrier_warshall():
+    # pairs over 0..11 with cycles and reflexive pairs; the carrier is a
+    # random subset, so some pairs run through nodes outside it
+    rng = random.Random(601)
+    nodes = range(12)
+    for draw in range(300):
+        carrier = rng.sample(nodes, rng.randint(0, 12))
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 20))]
+        if rng.random() < 0.5:
+            cycle = rng.sample(nodes, rng.randint(1, 5))
+            pairs.extend(zip(cycle, cycle[1:] + cycle[:1]))
+        expected = _full_carrier_warshall(pairs, carrier)
+        assert transitive_closure(pairs, carrier) == expected, draw
 
 
 # --- supports and conclusions ---------------------------------------------------
@@ -258,6 +288,49 @@ def test_attacks_are_monotone_in_both_arguments(seed):
             else:
                 assert kind == "reverse"
                 assert member in attacker and support <= target
+
+
+def _split_by_strictly_less(framework):
+    """normal/reverse support masks from ``strictly_less`` over every pair."""
+    table = compute_supports(framework)
+    order = table.order
+    normal, reverse = [], []
+    for b in order:
+        below = 0
+        for i, a in enumerate(order):
+            if framework.preference.strictly_less(a, b):
+                below |= 1 << i
+        masks = sorted(table.mask_families.get(framework.contrary(b), ()))
+        normal.append(tuple(m for m in masks if m & below == 0))
+        reverse.append(tuple(m for m in masks if m & below != 0))
+    return tuple(normal), tuple(reverse)
+
+
+def test_attack_table_split_matches_strictly_less_over_every_pair():
+    rng = random.Random(602)
+    for draw in range(200):
+        framework = random_framework(rng, max_assumptions=10)
+        tables = _attack_tables(framework)
+        expected = _split_by_strictly_less(framework)
+        assert (tables.normal, tables.reverse) == expected, draw
+
+
+def test_attack_table_split_ignores_preferences_outside_the_assumptions():
+    base = fw(
+        rules=[("c_a", ["b"]), ("c_b", ["a", "z_fact"]), ("z_fact", [])],
+        assumptions=["a", "b"],
+        contraries=[("a", "c_a"), ("b", "c_b")],
+    )
+    # b < z < a chains through z, which is no assumption; (x, a) names a
+    # node outside even the carrier
+    preference = Preorder.over(["a", "b", "z"], [("b", "z"), ("z", "a"), ("x", "a")])
+    framework = AbaFramework(
+        base.rules, base.assumptions, base.contrary_items, preference
+    )
+    tables = _attack_tables(framework)
+    assert (tables.normal, tables.reverse) == _split_by_strictly_less(framework)
+    assert tables.reverse == ((0b10,), ())
+
 
 
 @given(seeds)

@@ -133,6 +133,50 @@ def test_rule_body_must_be_bracketed():
     assert "'['" in str(err.value)
 
 
+MALFORMED_LINES = [
+    # (text, line, column, message)
+    ("assumption(a). ;", 1, 16, "unexpected character ';'"),
+    ("assumption(a).\xa0", 1, 15, "unexpected character '\\xa0'"),
+    ("assumption(\xa0a).", 1, 12, "unexpected character '\\xa0'"),
+    ("assumption(a)\u3000.", 1, 14, "unexpected character '\\u3000'"),
+    ("assumption(a).\x00", 1, 15, "unexpected character '\\x00'"),
+    ("prefer(a,\tb)\t.\t;", 1, 16, "unexpected character ';'"),
+    ("rule(¬p, [¬a; b]).", 1, 13, "unexpected character ';'"),
+    ("assumption(a)\t", 1, 15, "expected '.', found end of line"),
+    ("\tassumption(a) x\t", 1, 16, "expected '.', found 'x'"),
+    ("assumption(a # b).", 1, 19, "expected ')', found end of line"),
+    ("rule(p, [a, #b]).", 1, 18, "expected a symbol, found end of line"),
+    ("rule(., [.).", 1, 11, "expected ']', found ')'"),
+    ("contrary(., .", 1, 14, "expected ')', found end of line"),
+    (". assumption(a).", 1, 1, "expected a statement keyword "
+     "assumption/contrary/rule/prefer/goal/priority, found '.'"),
+    ("assumption(a)..", 1, 15, "expected end of line, found '.'"),
+    ("goal(a)b.", 1, 8, "expected '.', found 'b.'"),
+    ("assumption(¬a ¬b).", 1, 15, "expected ')', found '¬b'"),
+    ("assumption(a).\nrule(p, [a,, b]).", 2, 12, "expected a symbol, found ','"),
+    ("assumption(a).\n\n  # c\n  prefer(a b).", 4, 12, "expected ',', found 'b'"),
+    ("assumption", 1, 11, "expected '(', found end of line"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, message", MALFORMED_LINES)
+def test_malformed_lines_are_located_exactly(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_aba_text(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    if message.startswith("unexpected character"):
+        assert err.value.expected == "a symbol, punctuation, or '#'"
+    else:
+        assert err.value.expected == message[len("expected "):].split(", found")[0]
+
+
+def test_dots_are_punctuation_alone_and_symbol_characters_otherwise():
+    program = parse_aba_text("assumption(.).\nassumption(a.).\nrule(¬p, [¬a, b.c]). # ; ¬")
+    assert program.raw.assumptions == (".", "a.")
+    assert program.raw.rules == (("¬p", ("¬a", "b.c")),)
+
+
 # ---------------------------------------------------------------------------
 # round-trips
 

@@ -300,6 +300,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_shape_errors_print_one_short_line(tmp_path, capsys):
+    data = json.loads(Path(PATIENT_A).read_text(encoding="utf-8"))
+    data["recommendations"] = {f"r{i}": {"action": i} for i in range(2000)}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--bundle", str(big))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300
+    assert err.startswith("error: /recommendations: {'r0': {'action': 0}, ")
+    assert err.endswith("... is not of type 'array'\n")
+
+
 def test_missing_files_exit_2(capsys):
     code, _, err = run(capsys, "solve", "--bundle", "no/such/file.json")
     assert code == 2
