@@ -458,6 +458,17 @@ class _AttackTables:
                 found.add(1 << i)
         return frozenset(found)
 
+    def defends(self, defender: int, target: int) -> bool:
+        """True iff ``defender`` attacks every set attacking ``target``.
+
+        Quantifying over all attackers reduces to attacking every canonical
+        attacker: attacks are monotone in the attacking set, and each
+        attacker contains a canonical one.
+        """
+        return all(
+            self.attacks(defender, c) for c in self.canonical_attacker_masks(target)
+        )
+
 
 @lru_cache(maxsize=256)
 def _attack_tables(framework: AbaFramework) -> _AttackTables:
@@ -478,6 +489,13 @@ def _attack_tables(framework: AbaFramework) -> _AttackTables:
     return _AttackTables(table=table, normal=tuple(normal), reverse=tuple(reverse))
 
 
+def _masks(framework: AbaFramework, *sets: Iterable[Sentence]) -> tuple:
+    """The attack tables, then each of ``sets`` checked and turned into a mask."""
+    tables = _attack_tables(framework)
+    to_mask = tables.table.to_mask
+    return (tables, *(to_mask(framework.check_assumption_set(s)) for s in sets))
+
+
 def attacks(
     framework: AbaFramework,
     attacker: Iterable[Sentence],
@@ -491,9 +509,7 @@ def attacks(
     inside the target with a supporting assumption strictly below that
     member (reverse).
     """
-    tables = _attack_tables(framework)
-    a = tables.table.to_mask(framework.check_assumption_set(attacker))
-    t = tables.table.to_mask(framework.check_assumption_set(target))
+    tables, a, t = _masks(framework, attacker, target)
     return tables.attacks(a, t)
 
 
@@ -503,9 +519,7 @@ def attack_kinds(
     target: Iterable[Sentence],
 ) -> frozenset[str]:
     """Subset of {"normal", "reverse"} describing how ``attacker`` attacks."""
-    tables = _attack_tables(framework)
-    a = tables.table.to_mask(framework.check_assumption_set(attacker))
-    t = tables.table.to_mask(framework.check_assumption_set(target))
+    tables, a, t = _masks(framework, attacker, target)
     return frozenset(kind for kind, _, _ in tables.witnesses(a, t))
 
 
@@ -521,9 +535,7 @@ def attack_witnesses(
     the target with one strictly below the attacker member ``member`` for a
     "reverse" one.  Empty exactly when there is no attack.
     """
-    tables = _attack_tables(framework)
-    a = tables.table.to_mask(framework.check_assumption_set(attacker))
-    t = tables.table.to_mask(framework.check_assumption_set(target))
+    tables, a, t = _masks(framework, attacker, target)
     order = tables.table.order
     return tuple(
         (kind, order[i], tables.table.from_mask(s))
@@ -546,17 +558,14 @@ def canonical_attackers(
     singleton whose contrary the target supports with a strictly smaller
     member.  Defence checks only need to counter these.
     """
-    tables = _attack_tables(framework)
-    t = tables.table.to_mask(framework.check_assumption_set(target))
-    masks = tables.canonical_attacker_masks(t)
-    sets = [tables.table.from_mask(m) for m in masks]
+    tables, t = _masks(framework, target)
+    sets = [tables.table.from_mask(m) for m in tables.canonical_attacker_masks(t)]
     return tuple(sorted(sets, key=extension_sort_key))
 
 
 def is_conflict_free(framework: AbaFramework, A: Iterable[Sentence]) -> bool:
     """True iff ``A`` does not attack itself."""
-    tables = _attack_tables(framework)
-    m = tables.table.to_mask(framework.check_assumption_set(A))
+    tables, m = _masks(framework, A)
     return not tables.attacks(m, m)
 
 
@@ -565,23 +574,12 @@ def defends(
     defender: Iterable[Sentence],
     target: Iterable[Sentence],
 ) -> bool:
-    """True iff ``defender`` attacks every set attacking ``target``.
-
-    Quantifying over all attackers reduces to attacking every canonical
-    attacker: attacks are monotone in the attacking set, and each attacker
-    contains a canonical one.
-    """
-    tables = _attack_tables(framework)
-    d = tables.table.to_mask(framework.check_assumption_set(defender))
-    t = tables.table.to_mask(framework.check_assumption_set(target))
-    return all(
-        tables.attacks(d, c) for c in tables.canonical_attacker_masks(t)
-    )
+    """True iff ``defender`` attacks every set attacking ``target``."""
+    tables, d, t = _masks(framework, defender, target)
+    return tables.defends(d, t)
 
 
-def _effective_cap(size_cap: int | None) -> int:
-    if size_cap is not None:
-        return size_cap
+def _env_cap() -> int:
     env = os.environ.get(SIZE_CAP_ENV)
     if env is None:
         return DEFAULT_SIZE_CAP
@@ -609,7 +607,7 @@ def preferred_extensions(
     exceeds the cap (``size_cap`` argument, else the
     ARGCLINIC_MAX_ASSUMPTIONS environment variable, else 24).
     """
-    cap = _effective_cap(size_cap)
+    cap = _env_cap() if size_cap is None else size_cap
     n = len(framework.assumptions)
     if n > cap:
         raise SizeLimitExceeded(
@@ -649,10 +647,7 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
                 continue
             if any(mask | ext == ext for ext in found):
                 continue
-            if tables.attacks(mask, mask):
-                continue
-            attackers = tables.canonical_attacker_masks(mask)
-            if all(tables.attacks(mask, c) for c in attackers):
+            if not tables.attacks(mask, mask) and tables.defends(mask, mask):
                 found.append(mask)
         if found and k == len(usable):
             # the full candidate set is admissible; no other set is maximal

@@ -108,12 +108,6 @@ def goal_set_leq(
     )
 
 
-def goal_order_leq(
-    first: GoalExtension, second: GoalExtension, priority: Preorder
-) -> bool:
-    return goal_set_leq(first.achieved, second.achieved, priority)
-
-
 def collect_goal_extensions(
     framework: AbapgFramework,
     extensions: Sequence[frozenset[Sentence]],
@@ -147,8 +141,8 @@ def maximal_goal_extensions(
         g
         for g in goal_extensions
         if not any(
-            goal_order_leq(g, other, priority)
-            and not goal_order_leq(other, g, priority)
+            goal_set_leq(g.achieved, other.achieved, priority)
+            and not goal_set_leq(other.achieved, g.achieved, priority)
             for other in goal_extensions
         )
     ]
@@ -164,9 +158,9 @@ class GoalRanking:
     top_goal_extensions: tuple[GoalExtension, ...]
 
 
-def rank_goals(framework: AbapgFramework, size_cap: int | None = None) -> GoalRanking:
+def rank_goals(framework: AbapgFramework) -> GoalRanking:
     """Enumerate the preferred extensions and rank them by achieved goals."""
-    preferred = preferred_extensions(framework.base, size_cap=size_cap)
+    preferred = preferred_extensions(framework.base)
     grouped = collect_goal_extensions(framework, preferred)
     return GoalRanking(
         preferred=preferred,
@@ -175,8 +169,6 @@ def rank_goals(framework: AbapgFramework, size_cap: int | None = None) -> GoalRa
     )
 
 
-def top_goal_extensions(
-    framework: AbapgFramework, size_cap: int | None = None
-) -> tuple[GoalExtension, ...]:
+def top_goal_extensions(framework: AbapgFramework) -> tuple[GoalExtension, ...]:
     """Goal extensions of the preferred extensions, best ones only."""
-    return rank_goals(framework, size_cap).top_goal_extensions
+    return rank_goals(framework).top_goal_extensions

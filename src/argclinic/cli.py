@@ -35,7 +35,7 @@ from .aba_goals import (
     validate_abapg,
 )
 from .aba_text import parse_aba_text, serialize_abapg, serialize_framework
-from .bundle import parse_bundle
+from .bundle import GuidelineBundle, parse_bundle
 from .errors import (
     ConfigError,
     OracleSizeExceeded,
@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import random_abapg, random_framework
-from .mapper import Solution, build_patient_framework, resolve
+from .mapper import MappingReport, Solution, build_patient_framework, resolve
 from .oracle import ORACLE_CAP, brute_force_preferred, brute_force_top_goals
 
 EXIT_OK = 0
@@ -157,6 +157,15 @@ def _parse_program(path: str) -> tuple[AbapgFramework, bool]:
     return goal_framework, program.has_goals
 
 
+def _map_bundle(path: str) -> tuple[GuidelineBundle, AbapgFramework, MappingReport]:
+    """A guideline bundle, the framework it maps to and the mapping report."""
+    bundle = parse_bundle(_read(path))
+    goal_framework, report = build_patient_framework(
+        bundle.recommendations, bundle.interactions, bundle.context
+    )
+    return bundle, goal_framework, report
+
+
 def _cmd_solve(args) -> int:
     if args.bundle:
         bundle = parse_bundle(_read(args.bundle))
@@ -170,10 +179,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    bundle = parse_bundle(_read(args.bundle))
-    goal_framework, report = build_patient_framework(
-        bundle.recommendations, bundle.interactions, bundle.context
-    )
+    _, goal_framework, report = _map_bundle(args.bundle)
     sys.stdout.write(serialize_abapg(goal_framework))
     counts = ", ".join(
         f"{name}={count}" for name, count in sorted(report.rule_counts.items()) if count
@@ -192,10 +198,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.bundle:
-        bundle = parse_bundle(_read(args.bundle))
-        goal_framework, report = build_patient_framework(
-            bundle.recommendations, bundle.interactions, bundle.context
-        )
+        bundle, goal_framework, report = _map_bundle(args.bundle)
         base = goal_framework.base
         sys.stdout.write(
             f"ok: {len(bundle.recommendations)} recommendations, "
@@ -228,11 +231,7 @@ def _singleton_attack_lines(framework: AbaFramework) -> list[str]:
 
 def _cmd_explain(args) -> int:
     if args.bundle:
-        bundle = parse_bundle(_read(args.bundle))
-        goal_framework, _ = build_patient_framework(
-            bundle.recommendations, bundle.interactions, bundle.context
-        )
-        framework = goal_framework.base
+        framework = _map_bundle(args.bundle)[1].base
     else:
         framework = _parse_program(args.aba)[0].base
 
@@ -312,6 +311,14 @@ def _add_input_arguments(parser: argparse.ArgumentParser, bundle_only: bool = Fa
     group.add_argument("--aba", help="framework in textual form")
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="argclinic",
@@ -341,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = commands.add_parser("oracle", help="fuzz the engine against brute force")
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--count", type=int, default=200)
-    oracle.add_argument("--max-assumptions", type=int, default=8)
+    oracle.add_argument("--count", type=positive_int, default=200)
+    oracle.add_argument("--max-assumptions", type=positive_int, default=8)
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser

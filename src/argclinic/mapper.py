@@ -96,6 +96,13 @@ def _state_symbol(table: _SymbolTable, value: str | None, prop: str) -> str:
     return table.intern("state", display, symbolize(display))
 
 
+def _effect_symbol(table: _SymbolTable, effect: str, prop: str, negated: bool) -> str:
+    display = f"{effect} {prop}"
+    if negated:
+        return table.intern("prevented_effect", display, "¬" + symbolize(display))
+    return table.intern("effect", display, symbolize(display))
+
+
 def build_patient_framework(
     recommendations: Sequence[Recommendation],
     interactions: Sequence[Interaction],
@@ -122,38 +129,21 @@ def build_patient_framework(
     warnings: list[str] = []
     symmetric: list[tuple[str, str]] = []
 
-    rec_symbols: dict[str, str] = {}
-    for rec in sorted(recommendations, key=lambda r: r.name):
-        rec_symbols[rec.name] = table.intern("recommendation", rec.name, rec.name)
+    ordered = sorted(recommendations, key=lambda r: r.name)
+    for rec in ordered:
+        table.intern("recommendation", rec.name, rec.name)
 
     # Action and effect rules, per recommendation sign.
-    for rec in sorted(recommendations, key=lambda r: r.name):
-        action_symbol = table.intern("action", rec.action, symbolize(rec.action))
-        if rec.strength.positive:
-            families["action_rules_positive"].add(
-                (action_symbol, (rec_symbols[rec.name],))
-            )
-            for track in rec.tracks:
-                effect_display = f"{track.effect} {track.property}"
-                effect_symbol = table.intern(
-                    "effect", effect_display, symbolize(effect_display)
-                )
-                families["effect_rules_positive"].add(
-                    (effect_symbol, (action_symbol,))
-                )
-        else:
-            avoided = table.intern(
-                "avoided_action", rec.action, "¬" + symbolize(rec.action)
-            )
-            families["action_rules_negative"].add(
-                (avoided, (rec_symbols[rec.name],))
-            )
-            for track in rec.tracks:
-                effect_display = f"{track.effect} {track.property}"
-                prevented = table.intern(
-                    "prevented_effect", effect_display, "¬" + symbolize(effect_display)
-                )
-                families["effect_rules_negative"].add((prevented, (avoided,)))
+    for rec in ordered:
+        negative = not rec.strength.positive
+        sign = "negative" if negative else "positive"
+        action = table.intern("action", rec.action, symbolize(rec.action))
+        if negative:
+            action = table.intern("avoided_action", rec.action, "¬" + action)
+        families[f"action_rules_{sign}"].add((action, (rec.name,)))
+        for track in rec.tracks:
+            effect = _effect_symbol(table, track.effect, track.property, negative)
+            families[f"effect_rules_{sign}"].add((effect, (action,)))
 
     # Patient state facts.
     for term in sorted(context.patient_state):
@@ -185,8 +175,8 @@ def build_patient_framework(
             # Both endpoints share a sign, so neither side is the "negative"
             # one; argue both ways unconditionally and flag it.
             family = "contradiction_rules_symmetric"
-            conflicts.append((family, second.name, (rec_symbols[first.name], token)))
-            conflicts.append((family, first.name, (rec_symbols[second.name], token)))
+            conflicts.append((family, second.name, (first.name, token)))
+            conflicts.append((family, first.name, (second.name, token)))
             symmetric.append((inter.first, inter.second))
             continue
         positive, negative = (
@@ -196,7 +186,7 @@ def build_patient_framework(
             (
                 "contradiction_rules_positive",
                 negative.name,
-                (rec_symbols[positive.name], token),
+                (positive.name, token),
             )
         )
         for track in negative.tracks:
@@ -207,11 +197,11 @@ def build_patient_framework(
                 (
                     "contradiction_rules_negative",
                     positive.name,
-                    (rec_symbols[negative.name], token, condition),
+                    (negative.name, token, condition),
                 )
             )
 
-    assumptions = tuple(sorted(rec_symbols.values())) + tuple(sorted(token_assumptions))
+    assumptions = tuple(sorted(by_name)) + tuple(sorted(token_assumptions))
 
     # Contrary symbols: fresh per assumption against every interned symbol.
     taken = table.symbols()
@@ -248,13 +238,7 @@ def build_patient_framework(
     goal_symbols: dict[GoalTerm, str] = {}
     dropped: list[str] = []
     for term in sorted(context.goals):
-        effect_display = f"{term.effect} {term.property}"
-        if term.negated:
-            symbol = table.intern(
-                "prevented_effect", effect_display, "¬" + symbolize(effect_display)
-            )
-        else:
-            symbol = table.intern("effect", effect_display, symbolize(effect_display))
+        symbol = _effect_symbol(table, term.effect, term.property, term.negated)
         if symbol in heads:
             goal_symbols[term] = symbol
         else:
@@ -352,13 +336,12 @@ def resolve(
     recommendations: Sequence[Recommendation],
     interactions: Sequence[Interaction],
     context: Context,
-    size_cap: int | None = None,
 ) -> Solution:
     """Map, enumerate preferred extensions, rank goals, and plan actions."""
     framework, report = build_patient_framework(
         recommendations, interactions, context
     )
-    ranking = rank_goals(framework, size_cap=size_cap)
+    ranking = rank_goals(framework)
     rec_names = {r.name for r in recommendations}
     preferred_recs = tuple(
         tuple(sorted(s.symbol for s in ext if s.symbol in rec_names))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -594,6 +594,69 @@ def test_split_beyond_the_oracle_cap_is_the_product_of_the_parts(seed):
     extensions = preferred_extensions(union)
     assert list(extensions) == sorted(extensions, key=extension_sort_key)
     assert set(extensions) == expected
+
+
+def sweep_preferred_masks(tables, part):
+    """A literal copy of the size sweep that solves one part, as a reference.
+
+    Candidate sets go by decreasing size over the members that do not attack
+    themselves, skipping supersets of conflicting pairs and subsets of
+    extensions already found; a conflict-free candidate that attacks each of
+    its canonical attackers is kept.
+    """
+    members = [i for i in range(part.bit_length()) if part >> i & 1]
+    usable = [i for i in members if not tables.attacks(1 << i, 1 << i)]
+    conflict_pairs = []
+    for i, j in combinations(usable, 2):
+        pair = (1 << i) | (1 << j)
+        if tables.attacks(pair, pair):
+            conflict_pairs.append(pair)
+    found = []
+    for k in range(len(usable), -1, -1):
+        for combo in combinations(usable, k):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            if any(pair & mask == pair for pair in conflict_pairs):
+                continue
+            if any(mask | ext == ext for ext in found):
+                continue
+            if tables.attacks(mask, mask):
+                continue
+            attackers = tables.canonical_attacker_masks(mask)
+            if all(tables.attacks(mask, c) for c in attackers):
+                found.append(mask)
+        if found and k == len(usable):
+            break
+    return found
+
+
+def frameworks_of_size(count: int, low: int, high: int):
+    """The first ``count`` seeded random frameworks with ``low``-``high`` assumptions."""
+    seed = 0
+    while count:
+        framework = random_framework(random.Random(seed), max_assumptions=high)
+        seed += 1
+        if len(framework.assumptions) >= low:
+            count -= 1
+            yield seed - 1, framework
+
+
+def test_preferred_extensions_of_14_to_18_assumptions_match_the_size_sweep():
+    # The oracle takes seconds from 12 assumptions on; the sweep is the
+    # reference above that size.
+    for seed, framework in frameworks_of_size(200, 14, 18):
+        tables = _attack_tables(framework)
+        combined = [0]
+        for part in tables.parts:
+            combined = [
+                mask | ext for mask in combined
+                for ext in sweep_preferred_masks(tables, part)
+            ]
+        expected = {tables.table.from_mask(m) for m in combined}
+        extensions = preferred_extensions(framework)
+        assert len(extensions) == len(expected), seed
+        assert set(extensions) == expected, seed
 
 
 @pytest.mark.parametrize("pairs, free", [(1, 22), (12, 0)])

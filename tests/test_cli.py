@@ -145,6 +145,129 @@ def test_map_output_reparses_to_the_same_framework(capsys, patient_a_bundle):
     assert frozenset(program.goals) == {s.symbol for s in built.goals}
 
 
+def test_map_prints_the_whole_patient_translation(capsys):
+    code, out, err = run(capsys, "map", "--bundle", PATIENT_A)
+    assert (code, err) == (0, "")
+    assert out == (
+        "assumption(r2).\n"
+        "assumption(r3).\n"
+        "assumption(r4).\n"
+        "assumption(r8).\n"
+        "contrary(r2, contrary_of_r2).\n"
+        "contrary(r3, contrary_of_r3).\n"
+        "contrary(r4, contrary_of_r4).\n"
+        "contrary(r8, contrary_of_r8).\n"
+        "rule(Blood_Pressure, []).\n"
+        "rule(Decrease_Fatigue, [Low_Pace_Exercise]).\n"
+        "rule(Decrease_Fatigue, [Std_Exercise]).\n"
+        "rule(Decrease_Fitness, [Low_Pace_Exercise]).\n"
+        "rule(Decrease_Fitness, [Std_Exercise]).\n"
+        "rule(Decrease_Pain, [Low_Pace_Exercise]).\n"
+        "rule(Decrease_Pain, [Std_Exercise]).\n"
+        "rule(High_Body_Temperature, []).\n"
+        "rule(Increase_Lymphedema, [Std_Exercise]).\n"
+        "rule(Low_Pace_Exercise, [r3]).\n"
+        "rule(Std_Exercise, [r2]).\n"
+        "rule(contrary_of_r2, [Blood_Pressure, int_r2_r8, r8]).\n"
+        "rule(contrary_of_r2, [High_Body_Temperature, int_r2_r4, r4]).\n"
+        "rule(contrary_of_r2, [int_r2_r8, r8]).\n"
+        "rule(contrary_of_r3, [High_Body_Temperature, int_r3_r4, r4]).\n"
+        "rule(contrary_of_r4, [int_r2_r4, r2]).\n"
+        "rule(contrary_of_r4, [int_r3_r4, r3]).\n"
+        "rule(contrary_of_r8, [int_r2_r8, r2]).\n"
+        "rule(int_r2_r4, []).\n"
+        "rule(int_r2_r8, []).\n"
+        "rule(int_r3_r4, []).\n"
+        "rule(¬Exercise, [r4]).\n"
+        "rule(¬High_Intensity_Exercise, [r8]).\n"
+        "rule(¬Increase_Blood_Pressure, [¬High_Intensity_Exercise]).\n"
+        "rule(¬Increase_Body_Temperature, [¬Exercise]).\n"
+        "prefer(r2, r8).\n"
+        "prefer(r3, r8).\n"
+        "prefer(r4, r8).\n"
+        "goal(Decrease_Fatigue).\n"
+        "goal(Decrease_Pain).\n"
+        "goal(¬Increase_Blood_Pressure).\n"
+        "goal(¬Increase_Body_Temperature).\n"
+        "priority(Decrease_Fatigue, Decrease_Pain).\n"
+        "priority(Decrease_Fatigue, ¬Increase_Blood_Pressure).\n"
+        "priority(Decrease_Fatigue, ¬Increase_Body_Temperature).\n"
+        "priority(¬Increase_Blood_Pressure, Decrease_Pain).\n"
+        "priority(¬Increase_Body_Temperature, Decrease_Fatigue).\n"
+        "priority(¬Increase_Body_Temperature, Decrease_Pain).\n"
+        "priority(¬Increase_Body_Temperature, ¬Increase_Blood_Pressure).\n"
+        "# rule counts: action_rules_negative=2, action_rules_positive=2, "
+        "contradiction_rules_contrapositive=1, contradiction_rules_negative=3, "
+        "contradiction_rules_positive=3, effect_rules_negative=2, "
+        "effect_rules_positive=7, interaction_facts=3, state_facts=2\n"
+        "# symbol: Exercise := action 'Exercise'\n"
+        "# symbol: High_Intensity_Exercise := action 'High Intensity Exercise'\n"
+        "# symbol: Low_Pace_Exercise := action 'Low Pace Exercise'\n"
+        "# symbol: Std_Exercise := action 'Std Exercise'\n"
+        "# symbol: ¬Exercise := avoided_action 'Exercise'\n"
+        "# symbol: ¬High_Intensity_Exercise := avoided_action 'High Intensity Exercise'\n"
+        "# symbol: contrary_of_r2 := contrary 'r2'\n"
+        "# symbol: contrary_of_r3 := contrary 'r3'\n"
+        "# symbol: contrary_of_r4 := contrary 'r4'\n"
+        "# symbol: contrary_of_r8 := contrary 'r8'\n"
+        "# symbol: Decrease_Fatigue := effect 'Decrease Fatigue'\n"
+        "# symbol: Decrease_Fitness := effect 'Decrease Fitness'\n"
+        "# symbol: Decrease_Pain := effect 'Decrease Pain'\n"
+        "# symbol: Increase_Lymphedema := effect 'Increase Lymphedema'\n"
+        "# symbol: int_r2_r4 := interaction 'r2 / r4'\n"
+        "# symbol: int_r2_r8 := interaction 'r2 / r8'\n"
+        "# symbol: int_r3_r4 := interaction 'r3 / r4'\n"
+        "# symbol: ¬Increase_Blood_Pressure := prevented_effect 'Increase Blood Pressure'\n"
+        "# symbol: ¬Increase_Body_Temperature := "
+        "prevented_effect 'Increase Body Temperature'\n"
+        "# symbol: r2 := recommendation 'r2'\n"
+        "# symbol: r3 := recommendation 'r3'\n"
+        "# symbol: r4 := recommendation 'r4'\n"
+        "# symbol: r8 := recommendation 'r8'\n"
+        "# symbol: Blood_Pressure := state 'Blood Pressure'\n"
+        "# symbol: High_Body_Temperature := state 'High Body Temperature'\n"
+    )
+
+
+def test_map_prints_the_whole_drug_clash_translation(capsys):
+    code, out, err = run(capsys, "map", "--bundle", ASPIRIN_PREF)
+    assert (code, err) == (0, "")
+    assert out == (
+        "assumption(r1).\n"
+        "assumption(r2).\n"
+        "contrary(r1, contrary_of_r1).\n"
+        "contrary(r2, contrary_of_r2).\n"
+        "rule(Adm._NSAID, [r1]).\n"
+        "rule(Decrease_Blood_Coagulation, [Adm._NSAID]).\n"
+        "rule(Gastrointestinal_Bleeding, []).\n"
+        "rule(contrary_of_r1, [Gastrointestinal_Bleeding, int_r1_r2, r2]).\n"
+        "rule(contrary_of_r2, [int_r1_r2, r1]).\n"
+        "rule(int_r1_r2, []).\n"
+        "rule(¬Adm._Aspirin, [r2]).\n"
+        "rule(¬Increase_Gastrointestinal_Bleeding, [¬Adm._Aspirin]).\n"
+        "prefer(r2, r1).\n"
+        "goal(Decrease_Blood_Coagulation).\n"
+        "goal(¬Increase_Gastrointestinal_Bleeding).\n"
+        "priority(Decrease_Blood_Coagulation, ¬Increase_Gastrointestinal_Bleeding).\n"
+        "# rule counts: action_rules_negative=1, action_rules_positive=1, "
+        "contradiction_rules_negative=1, contradiction_rules_positive=1, "
+        "effect_rules_negative=1, effect_rules_positive=1, interaction_facts=1, "
+        "state_facts=1\n"
+        "# symbol: Adm._Aspirin := action 'Adm. Aspirin'\n"
+        "# symbol: Adm._NSAID := action 'Adm. NSAID'\n"
+        "# symbol: ¬Adm._Aspirin := avoided_action 'Adm. Aspirin'\n"
+        "# symbol: contrary_of_r1 := contrary 'r1'\n"
+        "# symbol: contrary_of_r2 := contrary 'r2'\n"
+        "# symbol: Decrease_Blood_Coagulation := effect 'Decrease Blood Coagulation'\n"
+        "# symbol: int_r1_r2 := interaction 'r1 / r2'\n"
+        "# symbol: ¬Increase_Gastrointestinal_Bleeding := "
+        "prevented_effect 'Increase Gastrointestinal Bleeding'\n"
+        "# symbol: r1 := recommendation 'r1'\n"
+        "# symbol: r2 := recommendation 'r2'\n"
+        "# symbol: Gastrointestinal_Bleeding := state 'Gastrointestinal Bleeding'\n"
+    )
+
+
 def test_check_summarises_a_bundle(capsys):
     code, out, _ = run(capsys, "check", "--bundle", PATIENT_A)
     assert code == 0
@@ -478,3 +601,23 @@ def test_oracle_agreement_exits_0(capsys):
     assert out == (
         "agreement: 4 frameworks, 2 goal instances (seed 7, max 4 assumptions)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-assumptions", "0"),
+        ("--max-assumptions", "-2"),
+        ("--count", "0"),
+        ("--count", "-3"),
+        ("--count", "many"),
+    ],
+)
+def test_oracle_sizes_below_one_exit_2(flag, value):
+    done = run_fresh("-m", "argclinic.cli", "oracle", flag, value)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {flag}: " in errors[0]
+    assert value in errors[0]

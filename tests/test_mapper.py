@@ -268,6 +268,49 @@ def test_rec_names_may_not_collide_with_action_symbols():
         build_patient_framework(clashing, [], ctx())
 
 
+def collision_message(recommendations, context) -> str:
+    with pytest.raises(SymbolCollision) as caught:
+        build_patient_framework(recommendations, [], context)
+    return str(caught.value)
+
+
+def test_an_action_named_like_a_recommendation_names_both():
+    clashing = [
+        rec("walk", "run", "should", [("Pain", "Decrease", None, "+")]),
+        rec("r2", "walk", "should", [("Pain", "Decrease", None, "+")]),
+    ]
+    assert collision_message(clashing, ctx()) == (
+        "action 'walk' and recommendation 'walk' both map to the sentence 'walk'"
+    )
+
+
+def test_a_negative_recommendation_interns_its_action_first():
+    # r1's avoided action ¬walk would collide with the recommendation ¬walk,
+    # but its action walk collides with the recommendation walk first.
+    clashing = [
+        rec("r1", "walk", "must_not", [("Pain", "Increase", None, "-")]),
+        rec("walk", "run", "should", [("Pain", "Decrease", None, "+")]),
+        rec("¬walk", "swim", "should", [("Pain", "Decrease", None, "+")]),
+    ]
+    assert collision_message(clashing, ctx()) == (
+        "action 'walk' and recommendation 'walk' both map to the sentence 'walk'"
+    )
+
+
+def test_a_goal_effect_named_like_a_state_term_names_both():
+    # Only the negative r1 tracks Decrease Pain, so the goal is the first
+    # to intern it as an effect, after the state term took the symbol.
+    avoid = [rec("r1", "rest", "must_not", [("Pain", "Decrease", "Decrease", "-")])]
+    context = ctx(
+        patient_state=frozenset({StateTerm("Pain", "Decrease")}),
+        goals=frozenset({GoalTerm(effect="Decrease", property="Pain")}),
+    )
+    assert collision_message(avoid, context) == (
+        "effect 'Decrease Pain' and state 'Decrease Pain' "
+        "both map to the sentence 'Decrease_Pain'"
+    )
+
+
 def test_shared_actions_share_one_action_rule_head():
     sharing = [
         rec("r1", "walk", "should", [("Pain", "Decrease", None, "+")]),
