@@ -9,15 +9,18 @@
     goal(g).
     priority(g1, g2).  # g1 is at most as important as g2
 
-Symbols match [A-Za-z0-9_.¬-]+ and are case-sensitive.  Whitespace is free
-within a line; '#' starts a comment.  Parse errors carry line and column.
+A symbol is a maximal run of [A-Za-z0-9_.¬-] inside the parentheses, so it
+may start with '.'; symbols are case-sensitive.  Spaces and tabs are free
+within a line; '#' starts a comment.  A line ends only at '\n', '\r\n' or
+'\r'; any other line separator is comment text inside a comment and an
+unexpected character elsewhere.  Parse errors carry line and column.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .aba_core import AbaFramework, RawFramework
 from .aba_goals import AbapgFramework
@@ -30,6 +33,20 @@ SYMBOL_RE = re.compile(r"[A-Za-z0-9_.¬-]+")
 # stray character.  ``lastindex`` names the class; whitespace has none.
 _TOKEN_RE = re.compile(r"[ \t]+|([()\[\],.]|" + SYMBOL_RE.pattern + r")|(#)|(.)")
 _TOKEN, _COMMENT = 1, 2
+
+# The whole grammar of a line, blank or one statement, as one pattern.  Every
+# symbol is followed by a space, tab, ',', ']' or ')', none of which is a
+# symbol character, so a greedy run cannot backtrack into another split; and
+# no two whitespace runs are adjacent, so a rejected line fails in linear time.
+_SYMBOL = SYMBOL_RE.pattern
+_STATEMENT_RE = re.compile(
+    r"[ \t]*(?:(?:"
+    rf"(assumption|goal)[ \t]*\([ \t]*({_SYMBOL})"
+    rf"|(contrary|prefer|priority)[ \t]*\([ \t]*({_SYMBOL})[ \t]*,[ \t]*({_SYMBOL})"
+    rf"|rule[ \t]*\([ \t]*({_SYMBOL})[ \t]*,[ \t]*"
+    rf"\[[ \t]*((?:{_SYMBOL}(?:[ \t]*,[ \t]*{_SYMBOL})*[ \t]*)?)\]"
+    r")[ \t]*\)[ \t]*\.[ \t]*)?(?:#.*)?"
+)
 
 STATEMENT_KEYWORDS = (
     "assumption",
@@ -126,62 +143,59 @@ class _LineParser:
             raise self._fail("end of line")
 
 
+def _explain(line: str, line_no: int) -> NoReturn:
+    """Raise the ParseError of a line the statement pattern rejected.
+
+    The token walk stops at the first token out of place, which gives the
+    error its column and the ``expected`` text.
+    """
+    parser = _LineParser(_tokenize_line(line, line_no), line_no, len(line))
+    keyword = parser.keyword()
+    parser.expect("(")
+    parser.symbol()
+    if keyword in ("contrary", "prefer", "priority"):
+        parser.expect(",")
+        parser.symbol()
+    elif keyword == "rule":
+        parser.expect(",")
+        parser.expect("[")
+        if parser.peek() not in (None, "]"):
+            parser.symbol()
+            while parser.peek() == ",":
+                parser.expect(",")
+                parser.symbol()
+        parser.expect("]")
+    parser.expect(")")
+    parser.expect(".")
+    parser.end()
+    raise AssertionError(f"line {line_no}: the token walk accepts what the pattern rejects")
+
+
 def parse_aba_text(text: str) -> ParsedProgram:
     """Parse a textual framework into raw statements (unvalidated)."""
-    rules: list[tuple[str, tuple[str, ...]]] = []
-    assumptions: list[str] = []
-    contraries: list[tuple[str, str]] = []
-    preferences: list[tuple[str, str]] = []
-    goals: list[str] = []
-    priorities: list[tuple[str, str]] = []
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, line_no)
-        if not tokens:
-            continue
-        parser = _LineParser(tokens, line_no, len(line))
-        keyword = parser.keyword()
-        parser.expect("(")
-        if keyword == "assumption":
-            assumptions.append(parser.symbol())
-        elif keyword == "goal":
-            goals.append(parser.symbol())
-        elif keyword in ("contrary", "prefer", "priority"):
-            first = parser.symbol()
-            parser.expect(",")
-            second = parser.symbol()
-            pair = (first, second)
-            if keyword == "contrary":
-                contraries.append(pair)
-            elif keyword == "prefer":
-                preferences.append(pair)
-            else:
-                priorities.append(pair)
-        else:  # rule
-            head = parser.symbol()
-            parser.expect(",")
-            parser.expect("[")
-            body: list[str] = []
-            if parser.peek() not in (None, "]"):
-                body.append(parser.symbol())
-                while parser.peek() == ",":
-                    parser.expect(",")
-                    body.append(parser.symbol())
-            parser.expect("]")
-            rules.append((head, tuple(body)))
-        parser.expect(")")
-        parser.expect(".")
-        parser.end()
+    statements: dict[str, list] = {keyword: [] for keyword in STATEMENT_KEYWORDS}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        match = _STATEMENT_RE.fullmatch(line)
+        if match is None:
+            _explain(line, line_no)
+        single, symbol, pair, first, second, head, body = match.groups()
+        if single:
+            statements[single].append(symbol)
+        elif pair:
+            statements[pair].append((first, second))
+        elif head:
+            statements["rule"].append((head, tuple(SYMBOL_RE.findall(body))))
 
     return ParsedProgram(
         raw=RawFramework.of(
-            rules=rules,
-            assumptions=assumptions,
-            contraries=contraries,
-            preferences=preferences,
+            rules=statements["rule"],
+            assumptions=statements["assumption"],
+            contraries=statements["contrary"],
+            preferences=statements["prefer"],
         ),
-        goals=tuple(goals),
-        priorities=tuple(priorities),
+        goals=tuple(statements["goal"]),
+        priorities=tuple(statements["priority"]),
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from argclinic import (
     ParseError,
+    RawFramework,
     parse_aba_text,
     serialize_abapg,
     serialize_framework,
@@ -216,3 +217,59 @@ def test_goal_frameworks_round_trip(seed):
         validate_framework(program.raw), program.goals, program.priorities
     )
     assert again == abapg
+
+
+# ---------------------------------------------------------------------------
+# symbols that start with '.', and line ends
+
+
+def test_symbols_may_start_with_a_dot():
+    program = parse_aba_text("assumption(.a).\nrule(.h, [.a, b, ..]).\nprefer(.a, b).\n")
+    assert program.raw.assumptions == (".a",)
+    assert program.raw.rules == ((".h", (".a", "b", "..")),)
+    assert program.raw.preferences == ((".a", "b"),)
+
+
+def test_frameworks_with_dot_led_symbols_round_trip():
+    framework = validate_framework(
+        RawFramework.of(
+            rules=[("c_b", [".a"])],
+            assumptions=[".a", "b"],
+            contraries=[("b", "c_b")],
+            preferences=[(".a", "b")],
+        )
+    )
+    text = serialize_framework(framework)
+    assert "assumption(.a)." in text
+    assert validate_framework(parse_aba_text(text).raw) == framework
+
+
+# Where str.splitlines() also breaks a line.
+OTHER_LINE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_lines_end_only_at_newline_carriage_return_or_both():
+    program = parse_aba_text("assumption(a).\r\nassumption(b).\rassumption(c).\n")
+    assert program.raw.assumptions == ("a", "b", "c")
+    with pytest.raises(ParseError) as err:
+        parse_aba_text("assumption(a).\r\n\rprefer(a).")
+    assert (err.value.line, err.value.column) == (3, 9)
+
+
+@pytest.mark.parametrize("separator", OTHER_LINE_SEPARATORS)
+def test_other_line_separators_are_comment_text_inside_a_comment(separator):
+    program = parse_aba_text(
+        f"# note {separator} see page 2\nassumption(a).\n# a{separator}b\nassumption(b).  # c{separator}d"
+    )
+    assert program.raw.assumptions == ("a", "b")
+
+
+@pytest.mark.parametrize("separator", OTHER_LINE_SEPARATORS)
+def test_other_line_separators_are_unexpected_outside_a_comment(separator):
+    with pytest.raises(ParseError) as err:
+        parse_aba_text(f"assumption(a).\nassumption({separator}b).\nassumption(c).")
+    assert (err.value.line, err.value.column) == (2, 12)
+    assert str(err.value) == f"line 2, column 12: unexpected character {separator!r}"
+    with pytest.raises(ParseError) as err:
+        parse_aba_text(f"assumption(a).{separator}assumption(b).")
+    assert (err.value.line, err.value.column) == (1, 15)

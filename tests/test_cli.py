@@ -621,3 +621,79 @@ def test_oracle_sizes_below_one_exit_2(flag, value):
     assert len(errors) == 1
     assert f"argument {flag}: " in errors[0]
     assert value in errors[0]
+
+
+BENCH_FIXTURES = Path(__file__).parent.parent / "bench" / "fixtures"
+
+# `solve --aba` on the `map` output of each benchmark bundle, or the map error.
+COMPILED_SOLUTIONS = {
+    "aspirin_clinician_priority.json": (
+        "preferred extensions:\n"
+        "  {r1}\n"
+        "  {r2}\n"
+        "goal extensions:\n"
+        "  {Decrease_Blood_Coagulation}  <-  {r1}\n"
+        "  {¬Increase_Gastrointestinal_Bleeding}  <-  {r2}\n"
+        "top goal extensions:\n"
+        "  {¬Increase_Gastrointestinal_Bleeding}  <-  {r2}\n"
+    ),
+    "aspirin_patient_pref.json": (
+        "preferred extensions:\n"
+        "  {r1}\n"
+        "goal extensions:\n"
+        "  {Decrease_Blood_Coagulation}  <-  {r1}\n"
+        "top goal extensions:\n"
+        "  {Decrease_Blood_Coagulation}  <-  {r1}\n"
+    ),
+    "broken.json": "error: no recommendation tracks the property 'Kidney Function' (at /context)\n",
+    "patient_a.json": (
+        "preferred extensions:\n"
+        "  {r3, r8}\n"
+        "  {r4, r8}\n"
+        "goal extensions:\n"
+        "  {Decrease_Fatigue, Decrease_Pain, ¬Increase_Blood_Pressure}  <-  {r3, r8}\n"
+        "  {¬Increase_Blood_Pressure, ¬Increase_Body_Temperature}  <-  {r4, r8}\n"
+        "top goal extensions:\n"
+        "  {Decrease_Fatigue, Decrease_Pain, ¬Increase_Blood_Pressure}  <-  {r3, r8}\n"
+    ),
+}
+
+
+def map_then_solve(capsys, tmp_path, bundle):
+    code, out, err = run(capsys, "map", "--bundle", str(bundle))
+    if code != 0:
+        return code, err
+    program = tmp_path / "compiled.aba"
+    program.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--aba", str(program))
+    assert err == ""
+    return code, out
+
+
+def test_every_benchmark_bundle_compiles_to_the_same_solution(tmp_path, capsys):
+    names = sorted(p.name for p in BENCH_FIXTURES.glob("*.json"))
+    assert names == sorted(COMPILED_SOLUTIONS)
+    for name in names:
+        code, out = map_then_solve(capsys, tmp_path, BENCH_FIXTURES / name)
+        assert (code, out) == (1 if name == "broken.json" else 0, COMPILED_SOLUTIONS[name])
+
+
+def test_map_output_with_dot_led_names_reads_back(tmp_path, capsys):
+    bundle = json.loads(Path(ASPIRIN_PREF).read_text(encoding="utf-8"))
+    for rec in bundle["recommendations"]:
+        rec["name"] = "." + rec["name"]
+    bundle["interactions"][0].update(first=".r1", second=".r2")
+    bundle["context"]["action_preference"] = [[".r2", ".r1"]]
+    path = tmp_path / "dotted.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    code, out, _ = run(capsys, "solve", "--quiet", "--bundle", str(path))
+    assert (code, out) == (0, "{.r1}\n")
+    assert map_then_solve(capsys, tmp_path, path) == (
+        0,
+        "preferred extensions:\n"
+        "  {.r1}\n"
+        "goal extensions:\n"
+        "  {Decrease_Blood_Coagulation}  <-  {.r1}\n"
+        "top goal extensions:\n"
+        "  {Decrease_Blood_Coagulation}  <-  {.r1}\n",
+    )
