@@ -297,6 +297,10 @@ class SupportTable:
             s for i, s in enumerate(self.order) if mask >> i & 1
         )
 
+    def holds(self, sentence: Sentence, mask: int) -> bool:
+        """True when some support of ``sentence`` lies inside ``mask``."""
+        return any(m & ~mask == 0 for m in self.mask_families.get(sentence, ()))
+
     def supports_of(self, sentence: Sentence) -> frozenset[frozenset[Sentence]]:
         masks = self.mask_families.get(sentence, frozenset())
         return frozenset(self.from_mask(m) for m in masks)
@@ -355,14 +359,9 @@ def compute_supports(framework: AbaFramework) -> SupportTable:
 
 def conclusions(framework: AbaFramework, A: Iterable[Sentence]) -> frozenset[Sentence]:
     """Every sentence some subset of ``A`` supports (facts included)."""
-    members = framework.check_assumption_set(A)
     table = compute_supports(framework)
-    mask = table.to_mask(members)
-    return frozenset(
-        s
-        for s, masks in table.mask_families.items()
-        if any(m & ~mask == 0 for m in masks)
-    )
+    mask = table.to_mask(framework.check_assumption_set(A))
+    return frozenset(s for s in table.mask_families if table.holds(s, mask))
 
 
 @dataclass(frozen=True)
@@ -592,9 +591,7 @@ def _env_cap() -> int:
     return cap
 
 
-def preferred_extensions(
-    framework: AbaFramework, size_cap: int | None = None
-) -> tuple[frozenset[Sentence], ...]:
+def preferred_extensions(framework: AbaFramework) -> tuple[frozenset[Sentence], ...]:
     """All maximal admissible assumption sets, deterministically ordered.
 
     No attack witness spans two of :attr:`_AttackTables.parts`, so each part
@@ -604,10 +601,10 @@ def preferred_extensions(
     of known conflicting pairs, so the cost is exponential in the largest
     part.  The empty set is admissible, so the result is never empty.
     Raises :class:`SizeLimitExceeded` when the count of all assumptions
-    exceeds the cap (``size_cap`` argument, else the
-    ARGCLINIC_MAX_ASSUMPTIONS environment variable, else 24).
+    exceeds the cap (the ARGCLINIC_MAX_ASSUMPTIONS environment variable,
+    else 24).
     """
-    cap = _env_cap() if size_cap is None else size_cap
+    cap = _env_cap()
     n = len(framework.assumptions)
     if n > cap:
         raise SizeLimitExceeded(

@@ -17,7 +17,7 @@ from .aba_core import (
     Preorder,
     Sentence,
     _sentence,
-    conclusions,
+    compute_supports,
     extension_sort_key,
     preferred_extensions,
 )
@@ -77,15 +77,6 @@ class GoalExtension:
     sources: tuple[frozenset[Sentence], ...]
 
 
-def goal_extension(
-    framework: AbapgFramework, extension: Iterable[Sentence]
-) -> GoalExtension:
-    """The goals concluded by one (presumed preferred) extension."""
-    members = framework.base.check_assumption_set(extension)
-    achieved = conclusions(framework.base, members) & framework.goals
-    return GoalExtension(achieved=achieved, sources=(members,))
-
-
 def goal_set_leq(
     first: frozenset[Sentence],
     second: frozenset[Sentence],
@@ -112,10 +103,16 @@ def collect_goal_extensions(
     framework: AbapgFramework,
     extensions: Sequence[frozenset[Sentence]],
 ) -> tuple[GoalExtension, ...]:
-    """Group preferred extensions by the goal set they achieve."""
+    """Group preferred extensions by the goal set they achieve.
+
+    Only the goals' own supports are tested against each extension's mask.
+    """
+    base = framework.base
+    table = compute_supports(base)
     by_achieved: dict[frozenset[Sentence], list[frozenset[Sentence]]] = {}
     for ext in extensions:
-        achieved = conclusions(framework.base, ext) & framework.goals
+        mask = table.to_mask(base.check_assumption_set(ext))
+        achieved = frozenset(g for g in framework.goals if table.holds(g, mask))
         by_achieved.setdefault(achieved, []).append(ext)
     grouped = [
         GoalExtension(
@@ -167,8 +164,3 @@ def rank_goals(framework: AbapgFramework) -> GoalRanking:
         goal_extensions=grouped,
         top_goal_extensions=maximal_goal_extensions(grouped, framework.priority),
     )
-
-
-def top_goal_extensions(framework: AbapgFramework) -> tuple[GoalExtension, ...]:
-    """Goal extensions of the preferred extensions, best ones only."""
-    return rank_goals(framework).top_goal_extensions

@@ -31,7 +31,6 @@ from .aba_goals import (
     GoalExtension,
     GoalRanking,
     rank_goals,
-    top_goal_extensions,
     validate_abapg,
 )
 from .aba_text import parse_aba_text, serialize_abapg, serialize_framework
@@ -56,8 +55,9 @@ EXIT_DISAGREEMENT = 4
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops a leading byte-order mark, as json.loads does for bytes
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         before = exc.object[: exc.start]
         raise ParseError(
@@ -252,12 +252,6 @@ def _cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _goal_summary(tops) -> set:
-    return {
-        (g.achieved, tuple(sorted(g.sources, key=extension_sort_key))) for g in tops
-    }
-
-
 def _cmd_oracle(args) -> int:
     if args.max_assumptions > ORACLE_CAP:
         raise OracleSizeExceeded(
@@ -280,9 +274,8 @@ def _cmd_oracle(args) -> int:
             return EXIT_DISAGREEMENT
     for index in range(goal_rounds):
         goal_framework = random_abapg(rng, max_assumptions=args.max_assumptions)
-        engine_tops = _goal_summary(top_goal_extensions(goal_framework))
-        oracle_tops = _goal_summary(brute_force_top_goals(goal_framework))
-        if engine_tops != oracle_tops:
+        engine_tops = rank_goals(goal_framework).top_goal_extensions
+        if engine_tops != brute_force_top_goals(goal_framework):
             sys.stdout.write(
                 f"disagreement on top goal extensions (instance {index}):\n"
             )

@@ -27,6 +27,7 @@ from .errors import (
     InvalidInteraction,
     PreferenceOverUnknownRec,
     PriorityNotTotal,
+    SchemaError,
     UnknownLandmark,
     ValidationError,
 )
@@ -118,19 +119,34 @@ class Recommendation:
     tracks: tuple[Track, ...]
 
 
+def _field(raw, key: str, pointer: str):
+    """``raw[key]``, or a :class:`SchemaError` in the bundle's wording."""
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"{raw!r} is not of type 'object'", pointer)
+    if key not in raw:
+        raise SchemaError(f"{key!r} is a required property", pointer)
+    return raw[key]
+
+
 def validate_recommendation(raw: Mapping) -> Recommendation:
-    """Build a recommendation from a mapping with the bundle field names."""
-    name = raw["name"]
-    action = raw["action"]
-    strength = DeonticStrength.parse(raw["deontic_strength"])
+    """Build a recommendation from a mapping with the bundle field names.
+
+    A bad shape raises :class:`SchemaError`; no tracks, :class:`EmptyTracks`.
+    """
+    name = _field(raw, "name", "/")
+    action = _field(raw, "action", "/")
+    strength = DeonticStrength.parse(_field(raw, "deontic_strength", "/"))
+    raw_tracks = raw.get("tracks", ())
+    if not isinstance(raw_tracks, (list, tuple)):
+        raise SchemaError(f"{raw_tracks!r} is not of type 'array'", "/tracks")
     tracks = tuple(
         Track(
-            property=t["property"],
-            effect=t["effect"],
+            property=_field(t, "property", f"/tracks/{i}"),
+            effect=_field(t, "effect", f"/tracks/{i}"),
             initial_value=t.get("initial_value"),
-            contribution=t["contribution"],
+            contribution=_field(t, "contribution", f"/tracks/{i}"),
         )
-        for t in raw.get("tracks", ())
+        for i, t in enumerate(raw_tracks)
     )
     if not tracks:
         raise EmptyTracks(f"recommendation {name!r} has no causation tracks")

@@ -687,11 +687,6 @@ def test_size_cap_default_rejects_25_assumptions():
         preferred_extensions(big_framework(25))
 
 
-def test_size_cap_argument_overrides_default():
-    with pytest.raises(SizeLimitExceeded):
-        preferred_extensions(big_framework(5), size_cap=4)
-
-
 def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("ARGCLINIC_MAX_ASSUMPTIONS", "3")
     with pytest.raises(SizeLimitExceeded):

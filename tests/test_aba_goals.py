@@ -13,11 +13,11 @@ from argclinic import (
     RawFramework,
     Sentence,
     collect_goal_extensions,
-    goal_extension,
+    conclusions,
     goal_set_leq,
     maximal_goal_extensions,
     preferred_extensions,
-    top_goal_extensions,
+    rank_goals,
     validate_abapg,
     validate_framework,
 )
@@ -84,7 +84,7 @@ def test_priority_pairs_close_transitively():
 def test_empty_goal_set_is_allowed():
     base = fw([("p", ["a"])], ["a"], [("a", "ca")])
     abapg = validate_abapg(base, [])
-    top = top_goal_extensions(abapg)
+    top = rank_goals(abapg).top_goal_extensions
     assert len(top) == 1
     assert top[0].achieved == frozenset()
     assert top[0].sources == (sset("a"),)
@@ -101,17 +101,54 @@ def test_goal_extension_collects_concluded_goals():
         [("a", "ca"), ("b", "cb")],
     )
     abapg = validate_abapg(base, ["p", "q"], [("p", "q"), ("q", "p")])
-    ge = goal_extension(abapg, sset("a"))
+    ge = collect_goal_extensions(abapg, [sset("a")])[0]
     assert ge.achieved == sset("p")
     assert ge.sources == (sset("a"),)
-    both = goal_extension(abapg, sset("a", "b"))
+    both = collect_goal_extensions(abapg, [sset("a", "b")])[0]
     assert both.achieved == sset("p", "q")
 
 
 def test_goal_extension_of_the_empty_set_keeps_fact_goals():
     base = fw([("p", []), ("q", ["a"])], ["a"], [("a", "ca")])
     abapg = validate_abapg(base, ["p", "q"], [("p", "q"), ("q", "p")])
-    assert goal_extension(abapg, ()).achieved == sset("p")
+    assert collect_goal_extensions(abapg, [sset()])[0].achieved == sset("p")
+
+
+def test_achieved_sets_equal_the_goals_among_all_conclusions():
+    # The goal layer tests only the goals' support masks; that must agree
+    # with reading the goals off the full conclusion set of each extension.
+    rng = random.Random(9)
+    for _ in range(300):
+        abapg = random_abapg(rng)
+        preferred = preferred_extensions(abapg.base)
+        grouped = collect_goal_extensions(abapg, preferred)
+        seen = []
+        for g in grouped:
+            for ext in g.sources:
+                assert g.achieved == conclusions(abapg.base, ext) & abapg.goals
+                seen.append(ext)
+        assert sorted(seen, key=sorted) == sorted(preferred, key=sorted)
+
+
+def test_twelve_attacking_pairs_rank_past_the_oracle_cap():
+    # a_i and b_i attack each other and only a_i derives goal g_i, with
+    # g0 < g1 < ... < g11: 4096 preferred extensions, each with its own
+    # goal set, and the one that takes every a_i achieves every goal.
+    n = 12
+    rules = [(f"na{i}", [f"b{i}"]) for i in range(n)]
+    rules += [(f"nb{i}", [f"a{i}"]) for i in range(n)]
+    rules += [(f"g{i}", [f"a{i}"]) for i in range(n)]
+    assumptions = [f"{x}{i}" for i in range(n) for x in "ab"]
+    contraries = [(f"{x}{i}", f"n{x}{i}") for i in range(n) for x in "ab"]
+    base = fw(rules, assumptions, contraries)
+    chain = [(f"g{i}", f"g{i + 1}") for i in range(n - 1)]
+    abapg = validate_abapg(base, [f"g{i}" for i in range(n)], chain)
+    ranking = rank_goals(abapg)
+    assert len(ranking.preferred) == 4096
+    assert len(ranking.goal_extensions) == 4096
+    (top,) = ranking.top_goal_extensions
+    assert top.achieved == abapg.goals
+    assert top.sources == (sset(*(f"a{i}" for i in range(n))),)
 
 
 def test_two_goals_without_priority_pairs_are_incomparable():
@@ -124,7 +161,7 @@ def test_goal_extension_rejects_non_assumptions():
     base = fw([("p", ["a"])], ["a"], [("a", "ca")])
     abapg = validate_abapg(base, ["p"])
     with pytest.raises(ValueError):
-        goal_extension(abapg, sset("p"))
+        collect_goal_extensions(abapg, [sset("p")])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +282,7 @@ def test_top_extensions_break_ties_in_favour_of_neither():
         [("a", "ca"), ("b", "cb")],
     )
     abapg = validate_abapg(base, ["p", "q"], [("p", "q"), ("q", "p")])
-    top = top_goal_extensions(abapg)
+    top = rank_goals(abapg).top_goal_extensions
     assert achieved_sets(top) == [["p"], ["q"]]
 
 
@@ -261,7 +298,7 @@ def test_patient_framework_has_a_unique_top(patient_a_bundle):
         ["Decrease_Fatigue", "Decrease_Pain", "¬Increase_Blood_Pressure"],
         ["¬Increase_Blood_Pressure", "¬Increase_Body_Temperature"],
     ]
-    top = top_goal_extensions(framework)
+    top = rank_goals(framework).top_goal_extensions
     assert achieved_sets(top) == [
         ["Decrease_Fatigue", "Decrease_Pain", "¬Increase_Blood_Pressure"]
     ]
@@ -273,7 +310,7 @@ def test_priority_scenario_picks_the_cautious_plan(aspirin_priority_bundle):
     framework, _ = build_patient_framework(
         b.recommendations, b.interactions, b.context
     )
-    top = top_goal_extensions(framework)
+    top = rank_goals(framework).top_goal_extensions
     assert achieved_sets(top) == [["¬Increase_Gastrointestinal_Bleeding"]]
     assert top[0].sources == (sset("r2"),)
 
@@ -302,7 +339,7 @@ def test_maximality_uses_pairwise_strict_domination():
 def test_tops_agree_with_the_brute_force_oracle(seed):
     rng = random.Random(seed)
     abapg = random_abapg(rng, max_assumptions=6)
-    mine = top_goal_extensions(abapg)
+    mine = rank_goals(abapg).top_goal_extensions
     theirs = brute_force_top_goals(abapg)
     assert [(g.achieved, g.sources) for g in mine] == [
         (g.achieved, g.sources) for g in theirs
@@ -349,6 +386,6 @@ def test_a_tied_maximal_goal_can_be_missing_from_a_top():
         [("a", "ca"), ("b", "cb")],
     )
     abapg = validate_abapg(base, ["p", "q"], [("p", "q"), ("q", "p")])
-    top = top_goal_extensions(abapg)
+    top = rank_goals(abapg).top_goal_extensions
     assert achieved_sets(top) == [["p"], ["q"]]
     assert Sentence("q") not in top[0].achieved

@@ -453,6 +453,21 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
         assert "not UTF-8" in err
 
 
+def test_a_bundle_with_a_byte_order_mark_solves_like_the_plain_file(tmp_path, capsys):
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(ASPIRIN_PREF).read_bytes())
+    plain = run(capsys, "solve", "--bundle", ASPIRIN_PREF)
+    assert plain[0] == 0
+    assert run(capsys, "solve", "--bundle", str(marked)) == plain
+
+
+def test_a_textual_framework_with_a_byte_order_mark_parses(tmp_path, capsys):
+    marked = tmp_path / "bom.aba"
+    marked.write_bytes(b"\xef\xbb\xbf" + GOAL_PROGRAM.encode())
+    code, out, err = run(capsys, "check", "--aba", str(marked))
+    assert (code, out, err) == (0, "ok: 2 assumptions, 4 rules, 2 goals\n", "")
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", ""])
 def test_malformed_size_cap_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("ARGCLINIC_MAX_ASSUMPTIONS", value)

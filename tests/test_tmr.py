@@ -22,6 +22,7 @@ from argclinic import (
     PreferenceOverUnknownRec,
     PriorityNotTotal,
     Recommendation,
+    SchemaError,
     StateTerm,
     Track,
     UnknownLandmark,
@@ -175,6 +176,44 @@ def test_validate_recommendation_reads_bundle_fields():
     )
     assert built.strength.value == Fraction(3, 4)
     assert built.tracks[0].initial_value is None
+
+
+
+def _walk(**changes):
+    raw = {
+        "name": "r7",
+        "action": "walk",
+        "deontic_strength": "should",
+        "tracks": [{"property": "Pain", "effect": "Decrease", "contribution": "+"}],
+    }
+    raw.update(changes)
+    return {k: v for k, v in raw.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"name": "r"}, "/: 'action' is a required property"),
+        (_walk(name=None), "/: 'name' is a required property"),
+        (_walk(deontic_strength=None), "/: 'deontic_strength' is a required property"),
+        (
+            _walk(tracks=[{"property": "Pain", "contribution": "+"}]),
+            "/tracks/0: 'effect' is a required property",
+        ),
+        (_walk(tracks="xy"), "/tracks: 'xy' is not of type 'array'"),
+        (_walk(tracks=["x"]), "/tracks/0: 'x' is not of type 'object'"),
+        ("r7", "/: 'r7' is not of type 'object'"),
+    ],
+)
+def test_validate_recommendation_rejects_bad_shapes_with_schema_errors(raw, message):
+    with pytest.raises(SchemaError) as caught:
+        validate_recommendation(raw)
+    assert str(caught.value) == message
+
+
+def test_validate_recommendation_reports_empty_tracks_as_before():
+    with pytest.raises(EmptyTracks, match="'r7'"):
+        validate_recommendation(_walk(tracks=[]))
 
 
 # ---------------------------------------------------------------------------
