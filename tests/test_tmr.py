@@ -178,7 +178,6 @@ def test_validate_recommendation_reads_bundle_fields():
     assert built.tracks[0].initial_value is None
 
 
-
 def _walk(**changes):
     raw = {
         "name": "r7",
@@ -211,7 +210,7 @@ def test_validate_recommendation_rejects_bad_shapes_with_schema_errors(raw, mess
     assert str(caught.value) == message
 
 
-def test_validate_recommendation_reports_empty_tracks_as_before():
+def test_validate_recommendation_reports_an_empty_track_list():
     with pytest.raises(EmptyTracks, match="'r7'"):
         validate_recommendation(_walk(tracks=[]))
 
