@@ -33,18 +33,25 @@ DEFAULT_SIZE_CAP = 24
 SIZE_CAP_ENV = "ARGCLINIC_MAX_ASSUMPTIONS"
 
 
-@dataclass(frozen=True, order=True)
-class Sentence:
-    """An atomic sentence, identified by its symbol."""
+class Sentence(str):
+    """An atomic sentence, identified by its symbol.
 
-    symbol: str
+    A sentence is the ``str`` of its symbol, so hashing, equality and order
+    are those of the symbol, and a plain string with the same text is the
+    same sentence in any set or mapping.
+    """
 
-    def __post_init__(self):
-        if not self.symbol:
-            raise ValueError("sentence symbol must be nonempty")
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return self.symbol
+    def __new__(cls, symbol: str) -> "Sentence":
+        if not isinstance(symbol, str) or not symbol:
+            raise ValueError(f"sentence symbol must be a nonempty str, got {symbol!r}")
+        return str.__new__(cls, symbol)
+
+    symbol = property(str.__str__, doc="The symbol, as a plain ``str``.")
+
+    def __repr__(self) -> str:
+        return f"Sentence(symbol={str.__repr__(self)})"
 
 
 @dataclass(frozen=True)
@@ -59,19 +66,15 @@ class Rule:
 
     @classmethod
     def of(cls, head: str | Sentence, body: Iterable[str | Sentence] = ()) -> "Rule":
-        return cls(_sentence(head), frozenset(_sentence(b) for b in body))
+        return cls(Sentence(head), frozenset(map(Sentence, body)))
 
     def sort_key(self) -> tuple:
-        return (self.head.symbol, tuple(sorted(s.symbol for s in self.body)))
+        return (self.head, tuple(sorted(self.body)))
 
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head} <-"
-        return f"{self.head} <- " + ", ".join(sorted(s.symbol for s in self.body))
-
-
-def _sentence(value: str | Sentence) -> Sentence:
-    return value if isinstance(value, Sentence) else Sentence(value)
+        return f"{self.head} <- " + ", ".join(sorted(self.body))
 
 
 _T = TypeVar("_T", bound=Hashable)
@@ -120,8 +123,8 @@ class Preorder:
         carrier: Iterable[str | Sentence],
         pairs: Iterable[tuple[str | Sentence, str | Sentence]] = (),
     ) -> "Preorder":
-        members = frozenset(_sentence(c) for c in carrier)
-        raw = [(_sentence(a), _sentence(b)) for a, b in pairs]
+        members = frozenset(map(Sentence, carrier))
+        raw = [(Sentence(a), Sentence(b)) for a, b in pairs]
         return cls(members, transitive_closure(raw, members))
 
     def leq(self, a: Sentence, b: Sentence) -> bool:
@@ -190,7 +193,7 @@ class AbaFramework:
         members = frozenset(A)
         stray = members - self.assumptions
         if stray:
-            names = ", ".join(sorted(s.symbol for s in stray))
+            names = ", ".join(sorted(map(str, stray)))
             raise ValueError(f"not assumptions of this framework: {names}")
         return members
 
@@ -202,6 +205,17 @@ def fresh_symbol(base: str, taken: set[str]) -> str:
     return symbol
 
 
+def _reject_bad_symbols(places: Mapping[str, Iterable]) -> None:
+    """Raise :class:`ValidationError` for the first empty or non-``str``
+    symbol, naming its place (the key it is listed under)."""
+    for where, symbols in places.items():
+        for symbol in symbols:
+            if not isinstance(symbol, str) or not symbol:
+                raise ValidationError(
+                    f"{where} symbol must be a nonempty string, got {symbol!r}"
+                ) from None
+
+
 def validate_framework(raw: RawFramework) -> AbaFramework:
     """Check a raw framework and complete it into an :class:`AbaFramework`.
 
@@ -209,14 +223,23 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     filled in with fresh ``contrary_of_*`` sentences; the preference pairs are
     closed reflexively and transitively over the assumptions.
     """
-    for symbol in raw.assumptions:
-        if not symbol:
-            raise ValidationError("assumption symbols must be nonempty")
-    assumptions = frozenset(Sentence(s) for s in raw.assumptions)
+    try:
+        assumptions = frozenset(map(Sentence, raw.assumptions))
+        rules = frozenset(Rule.of(head, body) for head, body in raw.rules)
+        contrary_pairs = [(Sentence(a), Sentence(c)) for a, c in raw.contraries]
+        preference_pairs = [(Sentence(a), Sentence(b)) for a, b in raw.preferences]
+    except ValueError:
+        _reject_bad_symbols({
+            "assumption": raw.assumptions,
+            "rule head": [head for head, _ in raw.rules],
+            "rule body": [b for _, body in raw.rules for b in body],
+            "contrary": [s for pair in raw.contraries for s in pair],
+            "preference": [s for pair in raw.preferences for s in pair],
+        })
+        raise
     if not assumptions:
         raise ValidationError("a framework needs at least one assumption")
 
-    rules = frozenset(Rule.of(head, body) for head, body in raw.rules)
     for rule in rules:
         if rule.head in assumptions:
             raise FlatnessViolation(
@@ -224,36 +247,33 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
             )
 
     contrary: dict[Sentence, Sentence] = {}
-    for asm_symbol, contrary_symbol in raw.contraries:
-        asm = Sentence(asm_symbol)
-        target = Sentence(contrary_symbol)
+    for asm, target in contrary_pairs:
         if asm not in assumptions:
             raise ContraryConflict(
-                f"contrary declared for {asm_symbol!r}, which is not an assumption"
+                f"contrary declared for {asm.symbol!r}, which is not an assumption"
             )
         if target in assumptions:
             raise ContraryConflict(
-                f"contrary of {asm_symbol!r} is {contrary_symbol!r}, "
+                f"contrary of {asm.symbol!r} is {target.symbol!r}, "
                 "which is itself an assumption"
             )
         if asm in contrary and contrary[asm] != target:
             raise ContraryConflict(
-                f"conflicting contraries for {asm_symbol!r}: "
-                f"{contrary[asm].symbol!r} and {contrary_symbol!r}"
+                f"conflicting contraries for {asm.symbol!r}: "
+                f"{contrary[asm].symbol!r} and {target.symbol!r}"
             )
         contrary[asm] = target
 
-    taken = {s.symbol for s in assumptions}
-    taken.update(c for _, c in raw.contraries)
-    for head, body in raw.rules:
-        taken.add(head)
-        taken.update(body)
+    taken = set(assumptions)
+    taken.update(contrary.values())
+    for rule in rules:
+        taken.add(rule.head)
+        taken.update(rule.body)
     for asm in sorted(assumptions - contrary.keys()):
-        symbol = fresh_symbol(f"contrary_of_{asm.symbol}", taken)
+        symbol = fresh_symbol(f"contrary_of_{asm}", taken)
         taken.add(symbol)
         contrary[asm] = Sentence(symbol)
 
-    preference_pairs = [(Sentence(a), Sentence(b)) for a, b in raw.preferences]
     for pair in preference_pairs:
         for s in pair:
             if s not in assumptions:
@@ -543,7 +563,7 @@ def attack_witnesses(
 
 
 def extension_sort_key(extension: Iterable[Sentence]) -> tuple[str, ...]:
-    return tuple(sorted(s.symbol for s in extension))
+    return tuple(sorted(extension))
 
 
 def canonical_attackers(

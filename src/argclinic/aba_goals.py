@@ -16,7 +16,7 @@ from .aba_core import (
     AbaFramework,
     Preorder,
     Sentence,
-    _sentence,
+    _reject_bad_symbols,
     compute_supports,
     extension_sort_key,
     preferred_extensions,
@@ -44,14 +44,21 @@ def validate_abapg(
     into a total preorder over the goals (missing comparisons are reported,
     never invented).
     """
-    goal_set = frozenset(_sentence(g) for g in goals)
+    goals, priority_pairs = list(goals), list(priority_pairs)
+    try:
+        goal_set = frozenset(map(Sentence, goals))
+        raw = [(Sentence(a), Sentence(b)) for a, b in priority_pairs]
+    except ValueError:
+        _reject_bad_symbols(
+            {"goal": goals, "priority": [s for pair in priority_pairs for s in pair]}
+        )
+        raise
     heads = {rule.head for rule in base.rules}
     for goal in sorted(goal_set):
         if goal not in heads:
             raise GoalWithoutRule(
                 f"goal {goal.symbol!r} has no rule deriving it"
             )
-    raw = [(_sentence(a), _sentence(b)) for a, b in priority_pairs]
     for pair in raw:
         for s in pair:
             if s not in goal_set:

@@ -128,23 +128,38 @@ def _field(raw, key: str, pointer: str):
     return raw[key]
 
 
+def _text(raw, key: str, pointer: str, required: bool = True) -> str | None:
+    """``raw[key]`` as a string, or a :class:`SchemaError` in the bundle's wording.
+
+    An optional key may be absent or ``None``.
+    """
+    value = _field(raw, key, pointer) if required else raw.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, str):
+        raise SchemaError(
+            f"{value!r} is not of type 'string'", f"{pointer.rstrip('/')}/{key}"
+        )
+    return value
+
+
 def validate_recommendation(raw: Mapping) -> Recommendation:
     """Build a recommendation from a mapping with the bundle field names.
 
     A bad shape raises :class:`SchemaError`; no tracks, :class:`EmptyTracks`.
     """
-    name = _field(raw, "name", "/")
-    action = _field(raw, "action", "/")
+    name = _text(raw, "name", "/")
+    action = _text(raw, "action", "/")
     strength = DeonticStrength.parse(_field(raw, "deontic_strength", "/"))
     raw_tracks = raw.get("tracks", ())
     if not isinstance(raw_tracks, (list, tuple)):
         raise SchemaError(f"{raw_tracks!r} is not of type 'array'", "/tracks")
     tracks = tuple(
         Track(
-            property=_field(t, "property", f"/tracks/{i}"),
-            effect=_field(t, "effect", f"/tracks/{i}"),
-            initial_value=t.get("initial_value"),
-            contribution=_field(t, "contribution", f"/tracks/{i}"),
+            property=_text(t, "property", f"/tracks/{i}"),
+            effect=_text(t, "effect", f"/tracks/{i}"),
+            initial_value=_text(t, "initial_value", f"/tracks/{i}", required=False),
+            contribution=_text(t, "contribution", f"/tracks/{i}"),
         )
         for i, t in enumerate(raw_tracks)
     )

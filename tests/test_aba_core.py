@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import combinations, product
 
@@ -89,6 +91,64 @@ def test_validate_rejects_preference_over_unknown_assumption():
         fw(assumptions=["a"], preferences=[("a", "zz")])
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            RawFramework.of(assumptions=[5, "a"]),
+            "assumption symbol must be a nonempty string, got 5",
+        ),
+        (
+            RawFramework.of(rules=[("", ["a"])], assumptions=["a"]),
+            "rule head symbol must be a nonempty string, got ''",
+        ),
+        (
+            RawFramework.of(rules=[(7, [])], assumptions=["a"]),
+            "rule head symbol must be a nonempty string, got 7",
+        ),
+        (
+            RawFramework.of(rules=[("p", ["a", ""])], assumptions=["a"]),
+            "rule body symbol must be a nonempty string, got ''",
+        ),
+        (
+            RawFramework.of(rules=[("p", [None])], assumptions=["a"]),
+            "rule body symbol must be a nonempty string, got None",
+        ),
+        (
+            RawFramework.of(assumptions=["a"], contraries=[("a", "")]),
+            "contrary symbol must be a nonempty string, got ''",
+        ),
+        (
+            RawFramework.of(assumptions=["a", "b"], contraries=[(("a",), "x")]),
+            "contrary symbol must be a nonempty string, got ('a',)",
+        ),
+        (
+            RawFramework.of(assumptions=["a"], preferences=[("a", "")]),
+            "preference symbol must be a nonempty string, got ''",
+        ),
+        (
+            RawFramework.of(assumptions=["a", "b"], preferences=[(1, "a")]),
+            "preference symbol must be a nonempty string, got 1",
+        ),
+    ],
+    ids=[
+        "assumption-int",
+        "head-empty",
+        "head-int",
+        "body-empty",
+        "body-none",
+        "contrary-empty",
+        "contrary-tuple",
+        "preference-empty",
+        "preference-int",
+    ],
+)
+def test_validate_names_the_place_of_a_bad_symbol(raw, message):
+    with pytest.raises(ValidationError) as caught:
+        validate_framework(raw)
+    assert str(caught.value) == message
+
+
 def test_missing_contraries_are_minted_fresh():
     framework = fw(assumptions=["a"], rules=[("contrary_of_a", [])])
     # the natural name is taken by a rule head, so the minted one is bumped
@@ -105,6 +165,14 @@ def test_check_assumption_set_rejects_non_assumptions():
     framework = fw(assumptions=["a"])
     with pytest.raises(ValueError):
         framework.check_assumption_set(sset("a", "b"))
+
+
+def test_check_assumption_set_names_a_member_that_is_not_a_string():
+    framework = fw(assumptions=["a"])
+    with pytest.raises(ValueError, match="not assumptions of this framework: 5, b$"):
+        framework.check_assumption_set(["a", "b", 5])
+    with pytest.raises(ValueError, match="framework: 5$"):
+        conclusions(framework, [5])
 
 
 # --- preference preorder ------------------------------------------------------
@@ -701,6 +769,70 @@ def test_size_cap_env_override(monkeypatch):
 def test_sentence_requires_a_symbol():
     with pytest.raises(ValueError):
         Sentence("")
+
+
+@pytest.mark.parametrize("symbol", [5, None, b"a", ["a"]])
+def test_sentence_rejects_a_symbol_that_is_not_a_str(symbol):
+    with pytest.raises(ValueError, match="nonempty str"):
+        Sentence(symbol)
+
+
+def test_sentence_is_the_str_of_its_symbol():
+    sentence = Sentence(symbol="a")
+    assert type(sentence.symbol) is str and sentence.symbol == "a"
+    assert type(str(sentence)) is str and str(sentence) == "a"
+    assert type(f"{sentence}") is str
+    assert repr(sentence) == "Sentence(symbol='a')"
+    assert sentence == "a" and Sentence("a") == sentence
+    assert hash(sentence) == hash("a")
+    assert {sentence: 1}["a"] == 1
+
+
+def test_sentences_sort_as_their_symbols():
+    symbols = ["b", "a_", "A", "a", "ab", "_", "a.b", "Z9", "a-b", "é"]
+    assert [s.symbol for s in sorted(map(Sentence, symbols))] == sorted(symbols)
+    rules = [Rule.of("p", ["b", "a"]), Rule.of("p", ["a_"]), Rule.of("P")]
+    assert sorted(rules, key=Rule.sort_key) == sorted(
+        rules, key=lambda r: (r.head.symbol, tuple(sorted(s.symbol for s in r.body)))
+    )
+
+
+def test_sentences_survive_pickle_and_deepcopy():
+    sentence = Sentence("a")
+    copies = [
+        pickle.loads(pickle.dumps(sentence, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    copies.append(copy.deepcopy(sentence))
+    for back in copies:
+        assert type(back) is Sentence and back == sentence
+        assert repr(back) == "Sentence(symbol='a')"
+    rule = Rule.of("p", ["a"])
+    assert pickle.loads(pickle.dumps(rule)) == copy.deepcopy(rule) == rule
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_set_taking_functions_accept_plain_strings(seed):
+    framework = random_framework(random.Random(seed), max_assumptions=4)
+    subsets = [
+        frozenset(combo)
+        for k in range(len(framework.assumptions) + 1)
+        for combo in combinations(framework.assumption_order, k)
+    ]
+
+    def plain(members):
+        return [str(s) for s in members]
+
+    for a in subsets:
+        assert is_conflict_free(framework, plain(a)) == is_conflict_free(framework, a)
+        assert canonical_attackers(framework, plain(a)) == canonical_attackers(framework, a)
+        assert conclusions(framework, plain(a)) == conclusions(framework, a)
+        for b in subsets:
+            assert attacks(framework, plain(a), plain(b)) == attacks(framework, a, b)
+            assert defends(framework, plain(a), plain(b)) == defends(framework, a, b)
+            assert attack_witnesses(framework, plain(a), plain(b)) == attack_witnesses(
+                framework, a, b
+            )
 
 
 def test_rule_str_formats():

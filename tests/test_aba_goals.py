@@ -12,6 +12,7 @@ from argclinic import (
     PriorityNotTotal,
     RawFramework,
     Sentence,
+    ValidationError,
     collect_goal_extensions,
     conclusions,
     goal_set_leq,
@@ -64,6 +65,23 @@ def test_priority_must_mention_only_goals():
     base = fw([("p", ["a"]), ("q", ["a"])], ["a"], [("a", "ca")])
     with pytest.raises(PriorityMentionsNonGoal, match="'r'"):
         validate_abapg(base, ["p", "q"], [("p", "r")])
+
+
+@pytest.mark.parametrize(
+    "goals, pairs, message",
+    [
+        ([5], [], "goal symbol must be a nonempty string, got 5"),
+        ([""], [], "goal symbol must be a nonempty string, got ''"),
+        (["p"], [("p", "")], "priority symbol must be a nonempty string, got ''"),
+        (["p"], [(3, "p")], "priority symbol must be a nonempty string, got 3"),
+    ],
+    ids=["goal-int", "goal-empty", "priority-empty", "priority-int"],
+)
+def test_validate_abapg_names_the_place_of_a_bad_symbol(goals, pairs, message):
+    base = fw([("p", ["a"])], ["a"], [("a", "ca")])
+    with pytest.raises(ValidationError) as caught:
+        validate_abapg(base, goals, pairs)
+    assert str(caught.value) == message
 
 
 def test_incomparable_goals_are_rejected_not_completed():

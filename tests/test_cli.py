@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 import argclinic
 from argclinic import parse_aba_text, serialize_framework, validate_framework
+from argclinic.aba_text import serialize_abapg
 from argclinic.cli import main
+from argclinic.generators import random_abapg
 from argclinic.mapper import build_patient_framework
 
 from conftest import FIXTURES, attacked_pairs
@@ -540,15 +543,46 @@ def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path):
     assert results == {(1, "", "error: goals 'p' and 'q' are incomparable\n")}
 
 
-def run_fresh(*args):
-    """Run Python in a fresh interpreter that imports this checkout's package."""
+def run_fresh(*args, **env):
+    """Run Python in a fresh interpreter that imports this checkout's package.
+
+    Keyword arguments are extra environment variables.
+    """
     src = str(Path(argclinic.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **env),
         capture_output=True,
         text=True,
     )
+
+
+def test_solve_and_explain_output_ignores_the_hash_seed(tmp_path):
+    paths = sorted(str(p) for p in FIXTURES.glob("*.json"))
+    rng = random.Random(41)
+    for index in range(10):
+        program = tmp_path / f"program_{index}.aba"
+        program.write_text(serialize_abapg(random_abapg(rng)))
+        paths.append(str(program))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from argclinic.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    flag = '--aba' if path.endswith('.aba') else '--bundle'\n"
+        "    for argv in (['solve', '--format', 'json', flag, path], ['explain', flag, path]):\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = main(argv)\n"
+        "        print(argv, code, out.getvalue(), err.getvalue())\n"
+    )
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        done = run_fresh("-c", probe, *paths, PYTHONHASHSEED=seed)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    # every input solves but broken.json, which fails validation
+    assert outputs.pop().count("preferred_extensions") == len(paths) - 1
 
 
 def strength_bundle(strength: str) -> str:

@@ -210,6 +210,36 @@ def test_validate_recommendation_rejects_bad_shapes_with_schema_errors(raw, mess
     assert str(caught.value) == message
 
 
+def _track(**changes):
+    track = {"property": "Pain", "effect": "Decrease", "contribution": "+"}
+    track.update(changes)
+    return track
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_walk(name=5), "/name: 5 is not of type 'string'"),
+        (_walk(action=["x"]), "/action: ['x'] is not of type 'string'"),
+        (_walk(tracks=[_track(property=7)]), "/tracks/0/property: 7 is not of type 'string'"),
+        (_walk(tracks=[_track(effect=1.5)]), "/tracks/0/effect: 1.5 is not of type 'string'"),
+        (
+            _walk(tracks=[_track(initial_value=["High"])]),
+            "/tracks/0/initial_value: ['High'] is not of type 'string'",
+        ),
+        (
+            _walk(tracks=[_track(contribution=1)]),
+            "/tracks/0/contribution: 1 is not of type 'string'",
+        ),
+    ],
+    ids=["name", "action", "property", "effect", "initial_value", "contribution"],
+)
+def test_validate_recommendation_rejects_values_that_are_not_strings(raw, message):
+    with pytest.raises(SchemaError) as caught:
+        validate_recommendation(raw)
+    assert str(caught.value) == message
+
+
 def test_validate_recommendation_reports_an_empty_track_list():
     with pytest.raises(EmptyTracks, match="'r7'"):
         validate_recommendation(_walk(tracks=[]))
