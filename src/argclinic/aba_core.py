@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     FlatnessViolation,
     SizeLimitExceeded,
     ValidationError,
+    _cut,
 )
 
 DEFAULT_SIZE_CAP = 24
@@ -157,12 +158,13 @@ class RawFramework:
         contraries: Iterable[tuple[str, str]] = (),
         preferences: Iterable[tuple[str, str]] = (),
     ) -> "RawFramework":
-        return cls(
-            tuple((h, tuple(b)) for h, b in rules),
-            tuple(assumptions),
-            tuple(contraries),
-            tuple(preferences),
-        )
+        rules = tuple(rules)
+        try:
+            pairs = tuple((h, tuple(b)) for h, b in rules)
+        except (ValueError, TypeError):
+            _reject_bad_pairs({"rule": rules})
+            raise
+        return cls(pairs, tuple(assumptions), tuple(contraries), tuple(preferences))
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,37 @@ def _reject_bad_symbols(places: Mapping[str, Iterable]) -> None:
         for symbol in symbols:
             if not isinstance(symbol, str) or not symbol:
                 raise ValidationError(
-                    f"{where} symbol must be a nonempty string, got {symbol!r}"
+                    f"{where} symbol must be a nonempty string, got {_cut(repr(symbol))}"
                 ) from None
+
+
+_PAIR_SHAPES = {
+    "rule": "a (head, body)",
+    "contrary": "an (assumption, contrary)",
+    "preference": "an (assumption, assumption)",
+    "priority": "a (goal, goal)",
+}
+
+
+def _reject_bad_pairs(places: Mapping[str, Iterable]) -> None:
+    """Raise :class:`ValidationError` for the first entry that does not unpack
+    into two, or the first rule whose body is not a collection, naming its
+    place (the key it is listed under)."""
+    for where, entries in places.items():
+        for entry in entries:
+            try:
+                _, second = entry
+            except (ValueError, TypeError):
+                raise ValidationError(
+                    f"{where} must be {_PAIR_SHAPES[where]} pair, got {_cut(repr(entry))}"
+                ) from None
+            if where == "rule":
+                try:
+                    iter(second)
+                except TypeError:
+                    raise ValidationError(
+                        f"rule body must be a collection of symbols, got {_cut(repr(second))}"
+                    ) from None
 
 
 def validate_framework(raw: RawFramework) -> AbaFramework:
@@ -228,7 +259,10 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
         rules = frozenset(Rule.of(head, body) for head, body in raw.rules)
         contrary_pairs = [(Sentence(a), Sentence(c)) for a, c in raw.contraries]
         preference_pairs = [(Sentence(a), Sentence(b)) for a, b in raw.preferences]
-    except ValueError:
+    except (ValueError, TypeError):
+        _reject_bad_pairs(
+            {"rule": raw.rules, "contrary": raw.contraries, "preference": raw.preferences}
+        )
         _reject_bad_symbols({
             "assumption": raw.assumptions,
             "rule head": [head for head, _ in raw.rules],
@@ -329,7 +363,7 @@ class SupportTable:
         return iter(self.mask_families)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def compute_supports(framework: AbaFramework) -> SupportTable:
     """Compute every assumption set that supports each derivable sentence.
 
@@ -449,14 +483,17 @@ class _AttackTables:
         only compares a member with its supports, so it splits the same way.
         """
         parts: list[int] = []
+        covered = 0
         for i in range(len(self.normal)):
             part = 1 << i
             for s in self.normal[i] + self.reverse[i]:
                 part |= s
-            for other in [p for p in parts if p & part]:
-                parts.remove(other)
-                part |= other
+            if part & covered:
+                for other in [p for p in parts if p & part]:
+                    parts.remove(other)
+                    part |= other
             parts.append(part)
+            covered |= part
         return tuple(parts)
 
     @cached_property
@@ -489,7 +526,7 @@ class _AttackTables:
         )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _attack_tables(framework: AbaFramework) -> _AttackTables:
     table = compute_supports(framework)
     order = table.order
@@ -616,10 +653,10 @@ def preferred_extensions(framework: AbaFramework) -> tuple[frozenset[Sentence], 
 
     No attack witness spans two of :attr:`_AttackTables.parts`, so each part
     is solved on its own and the result is every union of one preferred
-    extension per part.  Within a part, candidate sets go by decreasing
-    cardinality, skipping subsets of extensions already found and supersets
-    of known conflicting pairs, so the cost is exponential in the largest
-    part.  The empty set is admissible, so the result is never empty.
+    extension per part.  Within a part, a depth-first search decides the
+    members one at a time (see :func:`_preferred_masks`), so the cost is
+    exponential at worst in the largest part.  The empty set is admissible,
+    so the result is never empty.
     Raises :class:`SizeLimitExceeded` when the count of all assumptions
     exceeds the cap (the ARGCLINIC_MAX_ASSUMPTIONS environment variable,
     else 24).
@@ -631,42 +668,141 @@ def preferred_extensions(framework: AbaFramework) -> tuple[frozenset[Sentence], 
             f"{n} assumptions exceed the enumeration cap of {cap}"
         )
     tables = _attack_tables(framework)
+    normal = tables.normal
+    fixed = 0  # the union of the parts that have one preferred extension
     combined = [0]
     for part in tables.parts:
+        if part & (part - 1) == 0:
+            # One member: any support of its contrary is empty or the member
+            # itself, so it is admissible exactly when there is none.
+            if not normal[part.bit_length() - 1]:
+                fixed |= part
+            continue
         local = _preferred_masks(tables, part)
-        combined = [mask | ext for mask in combined for ext in local]
-    extensions = [tables.table.from_mask(m) for m in combined]
+        if len(local) == 1:
+            fixed |= local[0]
+        else:
+            combined = [mask | ext for mask in combined for ext in local]
+    extensions = [tables.table.from_mask(mask | fixed) for mask in combined]
     return tuple(sorted(extensions, key=extension_sort_key))
 
 
 def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
-    """The preferred extensions of one part, as masks inside ``part``."""
-    members = []
+    """The preferred extensions of one part, as masks inside ``part``.
+
+    A depth-first search on an explicit stack decides the members that do
+    not attack themselves, "in" first.  A node holds ``inside``, the members
+    chosen so far, and ``rest``, the undecided ones; ``upper``, their union,
+    is the largest set the node can reach.  Attacks are monotone in both
+    arguments, so a node is dropped when ``inside`` attacks itself, when
+    ``upper`` does not counter some canonical attacker of ``inside``, or
+    when ``upper`` lies inside an extension already found; an undecided
+    member whose own attackers ``upper`` cannot all counter is decided out.
+    An admissible ``upper`` is the one maximal set below its node and is
+    kept whole.  Deciding "in" first means no later extension contains an
+    earlier one.
+
+    ``upper`` counters a canonical attacker ``c`` when it meets the members
+    whose reverse supports lie inside ``c`` or contains a support of the
+    contrary of a member of ``c``; both are memoised per ``c``.
+    """
+    normal, reverse = tables.normal, tables.reverse
+    attacks = tables.attacks
+    usable = 0
+    rev: list[tuple[int, int]] = []  # (member bit, one of its reverse supports)
     rest = part
     while rest:
         low = rest & -rest
-        members.append(low.bit_length() - 1)
+        i = low.bit_length() - 1
+        if 0 not in normal[i] and low not in normal[i]:
+            usable |= low
+        if reverse[i]:
+            rev += [(low, s) for s in reverse[i]]
         rest ^= low
-    usable = [i for i in members if not tables.attacks(1 << i, 1 << i)]
-    conflict_pairs = []
-    for i, j in combinations(usable, 2):
-        pair = (1 << i) | (1 << j)
-        if tables.attacks(pair, pair):
-            conflict_pairs.append(pair)
+    # own[u]: the members whose reverse support is member u alone
+    own: dict[int, tuple[int, ...]] = {}
+    for j, s in rev:
+        if s & (s - 1) == 0:
+            own[s] = own.get(s, ()) + (j,)
+    counters: dict[int, tuple[int, list[int]]] = {}
+
+    def uncountered(upper: int, attackers, every: bool = False) -> list[int]:
+        """The first of ``attackers`` that ``upper`` does not attack, or all if ``every``."""
+        left = []
+        for c in attackers:
+            got = counters.get(c)
+            if got is None:
+                by_reverse = 0
+                for j, s in rev:
+                    if s & ~c == 0:
+                        by_reverse |= j
+                by_normal = []
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    by_normal.extend(normal[low.bit_length() - 1])
+                    rest ^= low
+                got = counters[c] = (by_reverse, by_normal)
+            if upper & got[0]:
+                continue
+            for s in got[1]:
+                if s & ~upper == 0:
+                    break
+            else:
+                left.append(c)
+                if not every:
+                    break
+        return left
+
+    def attackers_of(target: int) -> list[int]:
+        """The canonical attackers of ``target``, a set inside the part."""
+        attackers = [j for j, s in rev if s & ~target == 0]
+        rest = target
+        while rest:
+            low = rest & -rest
+            attackers.extend(normal[low.bit_length() - 1])
+            rest ^= low
+        return attackers
 
     found: list[int] = []
-    for k in range(len(usable), -1, -1):
-        for combo in combinations(usable, k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(pair & mask == pair for pair in conflict_pairs):
-                continue
-            if any(mask | ext == ext for ext in found):
-                continue
-            if not tables.attacks(mask, mask) and tables.defends(mask, mask):
-                found.append(mask)
-        if found and k == len(usable):
-            # the full candidate set is admissible; no other set is maximal
-            break
+    # (inside, rest, the canonical attackers of inside that inside does not counter)
+    stack: list[tuple[int, int, list[int]]] = [(0, usable, [])]
+    while stack:
+        inside, rest, open_ = stack.pop()
+        upper = reach = inside | rest
+        undecided = rest
+        while undecided:
+            low = undecided & -undecided
+            undecided ^= low
+            if uncountered(upper, normal[low.bit_length() - 1]) or (
+                low in own and uncountered(upper, own[low])
+            ):
+                rest ^= low
+                upper ^= low
+        if found and any(upper | ext == ext for ext in found):
+            continue
+        if upper != reach and open_ and uncountered(upper, open_):
+            continue
+        if not attacks(upper, upper) and not uncountered(upper, attackers_of(upper)):
+            found.append(upper)
+            continue
+        # Go "in" while that stays alive, leaving each live "out" on the stack.
+        # ``upper`` does not change on the way, so nothing above is redone,
+        # and ``open_`` needs checking against it only for the new attackers.
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not open_ or not uncountered(upper ^ low, open_):
+                stack.append((inside, rest, open_))
+            grown = inside | low
+            if attacks(grown, grown):
+                break
+            new = [j for j, s in rev if s & low and s & ~grown == 0]
+            new.extend(normal[low.bit_length() - 1])
+            new = uncountered(grown, new, True)
+            if new and uncountered(upper, new):
+                break
+            inside = grown
+            if new:
+                open_ = open_ + new
     return found

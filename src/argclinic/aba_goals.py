@@ -16,6 +16,7 @@ from .aba_core import (
     AbaFramework,
     Preorder,
     Sentence,
+    _reject_bad_pairs,
     _reject_bad_symbols,
     compute_supports,
     extension_sort_key,
@@ -48,7 +49,8 @@ def validate_abapg(
     try:
         goal_set = frozenset(map(Sentence, goals))
         raw = [(Sentence(a), Sentence(b)) for a, b in priority_pairs]
-    except ValueError:
+    except (ValueError, TypeError):
+        _reject_bad_pairs({"priority": priority_pairs})
         _reject_bad_symbols(
             {"goal": goals, "priority": [s for pair in priority_pairs for s in pair]}
         )

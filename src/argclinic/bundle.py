@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .errors import DuplicateName, IncompatibleContext, ParseError, SchemaError
+from .errors import DuplicateName, IncompatibleContext, ParseError, SchemaError, _cut
 from .tmr import (
     CONTRIBUTIONS,
     Context,
@@ -52,14 +52,6 @@ class GuidelineBundle:
 
 
 # --- shape checks: each returns the value it checked ----------------------------
-
-_SHOWN = 80
-
-
-def _cut(text: str) -> str:
-    """``text`` cut to its first 80 characters plus ``...``, so errors stay one short line."""
-    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
-
 
 def _typed(raw: Any, kind: str, pointer: str) -> Any:
     if not isinstance(raw, _TYPES[kind]):

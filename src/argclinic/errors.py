@@ -7,6 +7,13 @@ could not even be read.  The CLI maps these onto distinct exit codes.
 
 from __future__ import annotations
 
+_SHOWN = 80
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to its first 80 characters plus ``...``, so errors stay one short line."""
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
 
 class ArgClinicError(Exception):
     """Base class for every error raised by this package."""

@@ -30,6 +30,7 @@ from .errors import (
     SchemaError,
     UnknownLandmark,
     ValidationError,
+    _cut,
 )
 
 LANDMARK_VALUES: Mapping[str, Fraction] = {
@@ -62,7 +63,7 @@ class DeonticStrength:
         key = name.strip().lower().replace(" ", "_")
         if key not in LANDMARK_VALUES:
             known = ", ".join(sorted(LANDMARK_VALUES))
-            raise UnknownLandmark(f"unknown landmark {name!r} (expected one of {known})")
+            raise UnknownLandmark(f"unknown landmark {_cut(repr(name))} (expected one of {known})")
         return cls(LANDMARK_VALUES[key])
 
     @classmethod
@@ -83,7 +84,7 @@ class DeonticStrength:
             return cls.from_landmark(raw)
         if isinstance(raw, (int, float, Fraction)) and not isinstance(raw, bool):
             return cls.from_number(raw)
-        raise UnknownLandmark(f"cannot read a deontic strength from {raw!r}")
+        raise UnknownLandmark(f"cannot read a deontic strength from {_cut(repr(raw))}")
 
     @property
     def landmark(self) -> str | None:
@@ -122,7 +123,7 @@ class Recommendation:
 def _field(raw, key: str, pointer: str):
     """``raw[key]``, or a :class:`SchemaError` in the bundle's wording."""
     if not isinstance(raw, Mapping):
-        raise SchemaError(f"{raw!r} is not of type 'object'", pointer)
+        raise SchemaError(f"{_cut(repr(raw))} is not of type 'object'", pointer)
     if key not in raw:
         raise SchemaError(f"{key!r} is a required property", pointer)
     return raw[key]
@@ -138,7 +139,7 @@ def _text(raw, key: str, pointer: str, required: bool = True) -> str | None:
         return None
     if not isinstance(value, str):
         raise SchemaError(
-            f"{value!r} is not of type 'string'", f"{pointer.rstrip('/')}/{key}"
+            f"{_cut(repr(value))} is not of type 'string'", f"{pointer.rstrip('/')}/{key}"
         )
     return value
 
@@ -153,7 +154,7 @@ def validate_recommendation(raw: Mapping) -> Recommendation:
     strength = DeonticStrength.parse(_field(raw, "deontic_strength", "/"))
     raw_tracks = raw.get("tracks", ())
     if not isinstance(raw_tracks, (list, tuple)):
-        raise SchemaError(f"{raw_tracks!r} is not of type 'array'", "/tracks")
+        raise SchemaError(f"{_cut(repr(raw_tracks))} is not of type 'array'", "/tracks")
     tracks = tuple(
         Track(
             property=_text(t, "property", f"/tracks/{i}"),

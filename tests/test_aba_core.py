@@ -149,6 +149,67 @@ def test_validate_names_the_place_of_a_bad_symbol(raw, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: validate_framework(
+                RawFramework(rules=(("a", "b", "c"),), assumptions=("x",))
+            ),
+            "rule must be a (head, body) pair, got ('a', 'b', 'c')",
+        ),
+        (
+            lambda: RawFramework.of(rules=[("a", "b", "c")], assumptions=["x"]),
+            "rule must be a (head, body) pair, got ('a', 'b', 'c')",
+        ),
+        (
+            lambda: RawFramework.of(rules=[5], assumptions=["x"]),
+            "rule must be a (head, body) pair, got 5",
+        ),
+        (
+            lambda: validate_framework(RawFramework(rules=(("p", 5),), assumptions=("x",))),
+            "rule body must be a collection of symbols, got 5",
+        ),
+        (
+            lambda: RawFramework.of(rules=[("p", 5)], assumptions=["x"]),
+            "rule body must be a collection of symbols, got 5",
+        ),
+        (
+            lambda: validate_framework(RawFramework(assumptions=("x",), contraries=(("x",),))),
+            "contrary must be an (assumption, contrary) pair, got ('x',)",
+        ),
+        (
+            lambda: validate_framework(
+                RawFramework(assumptions=("x", "y"), preferences=(("x", "y", "x"),))
+            ),
+            "preference must be an (assumption, assumption) pair, got ('x', 'y', 'x')",
+        ),
+    ],
+    ids=[
+        "rule-triple",
+        "of-rule-triple",
+        "of-rule-int",
+        "body-int",
+        "of-body-int",
+        "contrary-single",
+        "preference-triple",
+    ],
+)
+def test_an_entry_that_is_not_a_pair_raises_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_a_long_bad_symbol_is_cut_to_a_short_message():
+    with pytest.raises(ValidationError) as caught:
+        validate_framework(RawFramework.of(assumptions=["a", ["x"] * 20000]))
+    message = str(caught.value)
+    assert message.startswith("assumption symbol must be a nonempty string, got ['x'")
+    assert message.endswith("...")
+    assert len(message) < 200
+
+
 def test_missing_contraries_are_minted_fresh():
     framework = fw(assumptions=["a"], rules=[("contrary_of_a", [])])
     # the natural name is taken by a rule head, so the minted one is bumped
@@ -725,6 +786,40 @@ def test_preferred_extensions_of_14_to_18_assumptions_match_the_size_sweep():
         extensions = preferred_extensions(framework)
         assert len(extensions) == len(expected), seed
         assert set(extensions) == expected, seed
+
+
+def threshold_core(n_x: int, m: int, n_y: int, n_y_preferred: int):
+    """One part whose contrary ``u`` of every y has the m-subsets of the x's as supports.
+
+    The first ``n_y_preferred`` y's are strictly preferred to every x, which
+    turns the attacks of m x's on those y's into reverse attacks on the x's.
+    """
+    xs = [f"x{i}" for i in range(n_x)]
+    ys = [f"y{i}" for i in range(n_y)]
+    framework = fw(
+        [("u", chosen) for chosen in combinations(xs, m)],
+        xs + ys,
+        [(y, "u") for y in ys],
+        [(x, y) for y in ys[:n_y_preferred] for x in xs],
+    )
+    return framework, xs, ys
+
+
+def test_threshold_core_with_a_preferred_y_keeps_the_ys_and_any_m_minus_1_xs():
+    # Any m x's are reverse-attacked by the preferred y, which nothing counters,
+    # so an extension holds at most m-1 x's; then no m x's attack the plain y.
+    framework, xs, ys = threshold_core(10, 3, 2, 1)
+    assert len(_attack_tables(framework).parts) == 1
+    extensions = preferred_extensions(framework)
+    assert len(extensions) == 45
+    assert set(extensions) == {sset(*ys, *chosen) for chosen in combinations(xs, 2)}
+
+
+def test_threshold_core_without_a_preferred_y_keeps_all_xs():
+    # Nothing attacks an x, and any m x's attack the y with no counter.
+    framework, xs, _ = threshold_core(11, 5, 1, 0)
+    assert len(_attack_tables(framework).parts) == 1
+    assert preferred_extensions(framework) == (sset(*xs),)
 
 
 @pytest.mark.parametrize("pairs, free", [(1, 22), (12, 0)])

@@ -84,6 +84,31 @@ def test_validate_abapg_names_the_place_of_a_bad_symbol(goals, pairs, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("p", "p", "p")], "priority must be a (goal, goal) pair, got ('p', 'p', 'p')"),
+        ([5], "priority must be a (goal, goal) pair, got 5"),
+    ],
+    ids=["triple", "int"],
+)
+def test_validate_abapg_rejects_a_priority_that_is_not_a_pair(pairs, message):
+    base = fw([("p", ["a"])], ["a"], [("a", "ca")])
+    with pytest.raises(ValidationError) as caught:
+        validate_abapg(base, ["p"], pairs)
+    assert str(caught.value) == message
+
+
+def test_validate_abapg_cuts_a_long_bad_symbol_to_a_short_message():
+    base = fw([("p", ["a"])], ["a"], [("a", "ca")])
+    with pytest.raises(ValidationError) as caught:
+        validate_abapg(base, [["x"] * 20000])
+    message = str(caught.value)
+    assert message.startswith("goal symbol must be a nonempty string, got ['x', 'x'")
+    assert message.endswith("...")
+    assert len(message) < 200
+
+
 def test_incomparable_goals_are_rejected_not_completed():
     base = fw([("p", ["a"]), ("q", ["a"]), ("s", ["a"])], ["a"], [("a", "ca")])
     with pytest.raises(PriorityNotTotal, match="incomparable"):

@@ -240,6 +240,30 @@ def test_validate_recommendation_rejects_values_that_are_not_strings(raw, messag
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _walk(action=["x"] * 20000),
+        _walk(tracks={"x" * 20000: 1}),
+        _walk(tracks=[_track(effect=["x"] * 20000)]),
+        ["x"] * 20000,
+    ],
+    ids=["string", "array", "track-string", "object"],
+)
+def test_validate_recommendation_cuts_a_long_bad_value_to_a_short_message(raw):
+    with pytest.raises(SchemaError) as caught:
+        validate_recommendation(raw)
+    assert "..." in str(caught.value)
+    assert len(str(caught.value)) < 200
+
+
+@pytest.mark.parametrize("raw", [["must"] * 20000, "x" * 20000], ids=["array", "landmark"])
+def test_deontic_strength_cuts_a_long_unreadable_value(raw):
+    with pytest.raises(UnknownLandmark) as caught:
+        DeonticStrength.parse(raw)
+    assert len(str(caught.value)) < 200
+
+
 def test_validate_recommendation_reports_an_empty_track_list():
     with pytest.raises(EmptyTracks, match="'r7'"):
         validate_recommendation(_walk(tracks=[]))
