@@ -6,86 +6,48 @@ assumption-based argumentation frameworks with preferences, enumerates their
 preferred extensions, and ranks the outcomes by the goals they achieve.
 """
 
-from .aba_core import (
-    AbaFramework,
-    Preorder,
-    RawFramework,
-    Rule,
-    Sentence,
-    SupportTable,
-    attack_kinds,
-    attack_witnesses,
-    attacks,
-    canonical_attackers,
-    compute_supports,
-    conclusions,
-    defends,
-    extension_sort_key,
-    is_conflict_free,
-    preferred_extensions,
-    validate_framework,
-)
-from .aba_goals import (
-    AbapgFramework,
-    GoalExtension,
-    GoalRanking,
-    collect_goal_extensions,
-    goal_set_leq,
-    maximal_goal_extensions,
-    rank_goals,
-    validate_abapg,
-)
-from .aba_text import ParsedProgram, parse_aba_text, serialize_abapg, serialize_framework
-from .bundle import GuidelineBundle, parse_bundle, serialize_bundle
-from .errors import (
-    AmbiguousActionPreference,
-    ArgClinicError,
-    ConfigError,
-    ContraryConflict,
-    DanglingPreference,
-    DsOutOfRange,
-    DuplicateName,
-    EmptyTracks,
-    FlatnessViolation,
-    GoalWithoutRule,
-    IncompatibleContext,
-    IncompatibleGoal,
-    IncompatibleState,
-    InvalidInteraction,
-    OracleSizeExceeded,
-    ParseError,
-    PreferenceOverUnknownRec,
-    PriorityMentionsNonGoal,
-    PriorityNotTotal,
-    SchemaError,
-    SizeLimitExceeded,
-    SymbolCollision,
-    UnknownLandmark,
-    ValidationError,
-)
-from .mapper import (
-    FollowItem,
-    FollowPlan,
-    MappingReport,
-    Solution,
-    build_patient_framework,
-    resolve,
-    symbolize,
-)
-from .tmr import (
-    Context,
-    DeonticStrength,
-    GoalTerm,
-    Interaction,
-    Modal,
-    Recommendation,
-    StateTerm,
-    Track,
-    contradiction_free,
-    validate_context,
-    validate_interaction,
-    validate_recommendation,
-)
+from importlib import import_module as _import_module
+
+# Each public name, by the module that defines it.  The package imports that
+# module when the name is first looked up (PEP 562), so importing one module
+# of the package does not import the others.
+_HOMES = {
+    "aba_core": (
+        "AbaFramework Preorder RawFramework Rule Sentence SupportTable "
+        "attack_kinds attack_witnesses attacks canonical_attackers "
+        "compute_supports conclusions defends extension_sort_key "
+        "is_conflict_free preferred_extensions validate_framework"
+    ).split(),
+    "aba_goals": (
+        "AbapgFramework GoalExtension GoalRanking collect_goal_extensions "
+        "goal_set_leq maximal_goal_extensions rank_goals validate_abapg"
+    ).split(),
+    "aba_text": (
+        "ParsedProgram parse_aba_text serialize_abapg serialize_framework"
+    ).split(),
+    "bundle": (
+        "GuidelineBundle parse_bundle serialize_bundle"
+    ).split(),
+    "errors": (
+        "AmbiguousActionPreference ArgClinicError ConfigError "
+        "ContraryConflict DanglingPreference DsOutOfRange DuplicateName "
+        "EmptyTracks FlatnessViolation GoalWithoutRule IncompatibleContext "
+        "IncompatibleGoal IncompatibleState InvalidInteraction "
+        "OracleSizeExceeded ParseError PreferenceOverUnknownRec "
+        "PriorityMentionsNonGoal PriorityNotTotal SchemaError "
+        "SizeLimitExceeded SymbolCollision UnknownLandmark ValidationError"
+    ).split(),
+    "mapper": (
+        "FollowItem FollowPlan MappingReport Solution "
+        "build_patient_framework resolve symbolize"
+    ).split(),
+    "tmr": (
+        "Context DeonticStrength GoalTerm Interaction Modal Recommendation "
+        "StateTerm Track contradiction_free validate_context "
+        "validate_interaction validate_recommendation"
+    ).split(),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -166,3 +128,16 @@ __all__ = [
     "validate_interaction",
     "validate_recommendation",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,6 @@ computation and the per-assumption attack tables are memoised per framework.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
@@ -25,6 +24,7 @@ from .errors import (
     ContraryConflict,
     DanglingPreference,
     FlatnessViolation,
+    Record,
     SizeLimitExceeded,
     ValidationError,
     _cut,
@@ -55,8 +55,7 @@ class Sentence(str):
         return f"Sentence(symbol={str.__repr__(self)})"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """An inference rule: derive ``head`` once every body sentence holds.
 
     An empty body makes the head a fact.
@@ -65,9 +64,18 @@ class Rule:
     head: Sentence
     body: frozenset[Sentence]
 
+    # Spelled out instead of the generic Record methods: one rule is built
+    # and hashed per input rule, and this keeps that at a dataclass's cost.
+    def __init__(self, head: Sentence, body: frozenset[Sentence]):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", body)
+
+    def __hash__(self):
+        return hash((self.head, self.body))
+
     @classmethod
     def of(cls, head: str | Sentence, body: Iterable[str | Sentence] = ()) -> "Rule":
-        return cls(Sentence(head), frozenset(map(Sentence, body)))
+        return cls(Sentence(head), frozenset(map(Sentence, _body(body))))
 
     def sort_key(self) -> tuple:
         return (self.head, tuple(sorted(self.body)))
@@ -76,6 +84,13 @@ class Rule:
         if not self.body:
             return f"{self.head} <-"
         return f"{self.head} <- " + ", ".join(sorted(self.body))
+
+
+def _body(symbols: Iterable[str]) -> Iterable[str]:
+    """``symbols``, unless it is a lone string: that is one symbol, not a body."""
+    if isinstance(symbols, str):
+        raise TypeError(f"rule body must be a collection of symbols, got {_cut(repr(symbols))}")
+    return symbols
 
 
 _T = TypeVar("_T", bound=Hashable)
@@ -106,8 +121,7 @@ def transitive_closure(
     return frozenset(closed)
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(Record):
     """A reflexive-transitive relation ``leq`` over a carrier of sentences.
 
     It serves both as the preference over assumptions and as the priority
@@ -141,8 +155,7 @@ class Preorder:
         )
 
 
-@dataclass(frozen=True)
-class RawFramework:
+class RawFramework(Record):
     """Unvalidated framework input, as produced by parsers or built by hand."""
 
     rules: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -160,15 +173,14 @@ class RawFramework:
     ) -> "RawFramework":
         rules = tuple(rules)
         try:
-            pairs = tuple((h, tuple(b)) for h, b in rules)
+            pairs = tuple((h, tuple(_body(b))) for h, b in rules)
         except (ValueError, TypeError):
             _reject_bad_pairs({"rule": rules})
             raise
         return cls(pairs, tuple(assumptions), tuple(contraries), tuple(preferences))
 
 
-@dataclass(frozen=True)
-class AbaFramework:
+class AbaFramework(Record):
     """A validated flat framework with preferences.
 
     ``contrary_items`` is kept as a sorted tuple so frameworks hash and
@@ -228,8 +240,8 @@ _PAIR_SHAPES = {
 
 def _reject_bad_pairs(places: Mapping[str, Iterable]) -> None:
     """Raise :class:`ValidationError` for the first entry that does not unpack
-    into two, or the first rule whose body is not a collection, naming its
-    place (the key it is listed under)."""
+    into two, or the first rule whose body is a string or not a collection,
+    naming its place (the key it is listed under)."""
     for where, entries in places.items():
         for entry in entries:
             try:
@@ -240,7 +252,7 @@ def _reject_bad_pairs(places: Mapping[str, Iterable]) -> None:
                 ) from None
             if where == "rule":
                 try:
-                    iter(second)
+                    iter(_body(second))
                 except TypeError:
                     raise ValidationError(
                         f"rule body must be a collection of symbols, got {_cut(repr(second))}"
@@ -323,8 +335,7 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     )
 
 
-@dataclass(frozen=True)
-class SupportTable:
+class SupportTable(Record):
     """All argument supports per sentence.
 
     Supports are stored as bitmasks over ``order`` (the sorted assumptions).
@@ -418,8 +429,7 @@ def conclusions(framework: AbaFramework, A: Iterable[Sentence]) -> frozenset[Sen
     return frozenset(s for s in table.mask_families if table.holds(s, mask))
 
 
-@dataclass(frozen=True)
-class _AttackTables:
+class _AttackTables(Record):
     """Per-assumption support masks, split by the preference condition.
 
     For assumption ``b`` with index ``i``: ``normal[i]`` holds the supports

@@ -9,7 +9,6 @@ that outranks everything it gives up in exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .aba_core import (
@@ -22,11 +21,10 @@ from .aba_core import (
     extension_sort_key,
     preferred_extensions,
 )
-from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal
+from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal, Record
 
 
-@dataclass(frozen=True)
-class AbapgFramework:
+class AbapgFramework(Record):
     """A core framework together with goals and their (total) priority."""
 
     base: AbaFramework
@@ -78,8 +76,7 @@ def validate_abapg(
     return AbapgFramework(base=base, goals=goal_set, priority=priority)
 
 
-@dataclass(frozen=True)
-class GoalExtension:
+class GoalExtension(Record):
     """An achieved-goal set with the preferred extensions that realise it."""
 
     achieved: frozenset[Sentence]
@@ -155,8 +152,7 @@ def maximal_goal_extensions(
     return tuple(sorted(top, key=lambda g: extension_sort_key(g.achieved)))
 
 
-@dataclass(frozen=True)
-class GoalRanking:
+class GoalRanking(Record):
     """Both stages of a solve: the preferred extensions, then their goals."""
 
     preferred: tuple[frozenset[Sentence], ...]

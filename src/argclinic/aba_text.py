@@ -19,12 +19,11 @@ unexpected character elsewhere.  Parse errors carry line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NoReturn
 
 from .aba_core import AbaFramework, RawFramework
 from .aba_goals import AbapgFramework
-from .errors import ParseError
+from .errors import ParseError, Record
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_.¬-]+")
 
@@ -58,8 +57,7 @@ STATEMENT_KEYWORDS = (
 )
 
 
-@dataclass(frozen=True)
-class ParsedProgram:
+class ParsedProgram(Record):
     """A parsed file: framework statements plus any goal statements."""
 
     raw: RawFramework
@@ -187,12 +185,13 @@ def parse_aba_text(text: str) -> ParsedProgram:
         elif head:
             statements["rule"].append((head, tuple(SYMBOL_RE.findall(body))))
 
+    # Each rule is already a (head, body tuple) pair, so no RawFramework.of.
     return ParsedProgram(
-        raw=RawFramework.of(
-            rules=statements["rule"],
-            assumptions=statements["assumption"],
-            contraries=statements["contrary"],
-            preferences=statements["prefer"],
+        raw=RawFramework(
+            tuple(statements["rule"]),
+            tuple(statements["assumption"]),
+            tuple(statements["contrary"]),
+            tuple(statements["prefer"]),
         ),
         goals=tuple(statements["goal"]),
         priorities=tuple(statements["priority"]),

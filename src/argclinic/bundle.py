@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import numbers
 import re
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .errors import DuplicateName, IncompatibleContext, ParseError, SchemaError, _cut
+from .errors import DuplicateName, IncompatibleContext, ParseError, Record, SchemaError, _cut
 from .tmr import (
     CONTRIBUTIONS,
     Context,
@@ -43,12 +42,15 @@ _MODALS = tuple(m.value for m in Modal)
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 
 
-@dataclass(frozen=True)
-class GuidelineBundle:
+class GuidelineBundle(Record):
     recommendations: tuple[Recommendation, ...]
     interactions: tuple[Interaction, ...]
     context: Context
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = None
+
+    def __post_init__(self):
+        if self.metadata is None:  # a fresh dict per bundle, never a shared default
+            object.__setattr__(self, "metadata", {})
 
 
 # --- shape checks: each returns the value it checked ----------------------------

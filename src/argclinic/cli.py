@@ -6,16 +6,18 @@ oracle (differential fuzzing against the brute-force reference).
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 size limit
 exceeded, 4 oracle disagreement.
+
+Each subcommand imports what its input needs: the core, goal and error
+modules always, the textual format for ``--aba``, the bundle reader, the
+guideline model and the mapper for ``--bundle``, and the generators and the
+brute-force reference only under ``oracle``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from dataclasses import asdict
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .aba_core import (
     AbaFramework,
@@ -33,8 +35,6 @@ from .aba_goals import (
     rank_goals,
     validate_abapg,
 )
-from .aba_text import parse_aba_text, serialize_abapg, serialize_framework
-from .bundle import GuidelineBundle, parse_bundle
 from .errors import (
     ConfigError,
     OracleSizeExceeded,
@@ -43,9 +43,10 @@ from .errors import (
     SizeLimitExceeded,
     ValidationError,
 )
-from .generators import random_abapg, random_framework
-from .mapper import MappingReport, Solution, build_patient_framework, resolve
-from .oracle import ORACLE_CAP, brute_force_preferred, brute_force_top_goals
+
+if TYPE_CHECKING:
+    from .bundle import GuidelineBundle
+    from .mapper import MappingReport, Solution
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,7 +58,8 @@ EXIT_DISAGREEMENT = 4
 def _read(path: str) -> str:
     # utf-8-sig drops a leading byte-order mark, as json.loads does for bytes
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         before = exc.object[: exc.start]
         raise ParseError(
@@ -88,14 +90,30 @@ def _goal_extension_json(goal_extension: GoalExtension) -> dict:
     }
 
 
-def _print_solution(result: GoalRanking, args, goals: bool) -> None:
+def _follow_json(solution: Solution) -> list[dict]:
+    return [
+        {
+            "source": list(plan.source),
+            "items": [
+                {"recommendation": i.recommendation, "action": i.action, "avoid": i.avoid}
+                for i in plan.items
+            ],
+        }
+        for plan in solution.follow
+    ]
+
+
+def _print_solution(
+    result: GoalRanking, args, goals: bool, solution: Solution | None = None
+) -> None:
     """Print ``solve`` output for either input.
 
     The goal sections appear when ``goals`` is set; the recommendation sets,
-    warnings and plans appear when ``result`` is a bundle's :class:`Solution`.
+    warnings and plans appear when a bundle's ``solution`` is given.
     """
-    solution = result if isinstance(result, Solution) else None
     if args.format == "json":
+        import json
+
         payload: dict = {
             "preferred_extensions": [
                 list(extension_sort_key(e)) for e in result.preferred
@@ -112,7 +130,7 @@ def _print_solution(result: GoalRanking, args, goals: bool) -> None:
             payload["recommendation_sets"] = [
                 list(r) for r in solution.preferred_recommendations
             ]
-            payload["follow"] = [asdict(plan) for plan in solution.follow]
+            payload["follow"] = _follow_json(solution)
             payload["warnings"] = list(solution.report.warnings)
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
@@ -151,6 +169,8 @@ def _parse_program(path: str) -> tuple[AbapgFramework, bool]:
 
     A program without goal statements gets an empty goal layer.
     """
+    from .aba_text import parse_aba_text
+
     program = parse_aba_text(_read(path))
     framework = validate_framework(program.raw)
     goal_framework = validate_abapg(framework, program.goals, program.priorities)
@@ -159,6 +179,9 @@ def _parse_program(path: str) -> tuple[AbapgFramework, bool]:
 
 def _map_bundle(path: str) -> tuple[GuidelineBundle, AbapgFramework, MappingReport]:
     """A guideline bundle, the framework it maps to and the mapping report."""
+    from .bundle import parse_bundle
+    from .mapper import build_patient_framework
+
     bundle = parse_bundle(_read(path))
     goal_framework, report = build_patient_framework(
         bundle.recommendations, bundle.interactions, bundle.context
@@ -168,17 +191,21 @@ def _map_bundle(path: str) -> tuple[GuidelineBundle, AbapgFramework, MappingRepo
 
 def _cmd_solve(args) -> int:
     if args.bundle:
+        from .bundle import parse_bundle
+        from .mapper import resolve
+
         bundle = parse_bundle(_read(args.bundle))
-        result = resolve(bundle.recommendations, bundle.interactions, bundle.context)
-        goals = True
+        solution = resolve(bundle.recommendations, bundle.interactions, bundle.context)
+        _print_solution(solution, args, True, solution)
     else:
         goal_framework, goals = _parse_program(args.aba)
-        result = rank_goals(goal_framework)
-    _print_solution(result, args, goals)
+        _print_solution(rank_goals(goal_framework), args, goals)
     return EXIT_OK
 
 
 def _cmd_map(args) -> int:
+    from .aba_text import serialize_abapg
+
     _, goal_framework, report = _map_bundle(args.bundle)
     sys.stdout.write(serialize_abapg(goal_framework))
     counts = ", ".join(
@@ -253,6 +280,12 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import random
+
+    from .aba_text import serialize_abapg, serialize_framework
+    from .generators import random_abapg, random_framework
+    from .oracle import ORACLE_CAP, brute_force_preferred, brute_force_top_goals
+
     if args.max_assumptions > ORACLE_CAP:
         raise OracleSizeExceeded(
             f"--max-assumptions {args.max_assumptions} exceeds the oracle cap "

@@ -23,12 +23,11 @@ rule with the same head already derives it from part of its body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .aba_core import RawFramework, fresh_symbol, validate_framework
 from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
-from .errors import SymbolCollision
+from .errors import Record, SymbolCollision
 from .tmr import Context, GoalTerm, Interaction, Modal, Recommendation, validate_context
 
 
@@ -51,8 +50,7 @@ _RULE_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class MappingReport:
+class MappingReport(Record):
     """What the translation produced, for explanation and debugging."""
 
     rule_counts: Mapping[str, int]
@@ -300,8 +298,7 @@ def _contrapositives(
     }
 
 
-@dataclass(frozen=True)
-class FollowItem:
+class FollowItem(Record):
     """One action to take (or avoid) under a recommended plan."""
 
     recommendation: str
@@ -314,15 +311,13 @@ class FollowItem:
         return f"{self.recommendation} ({self.action})"
 
 
-@dataclass(frozen=True)
-class FollowPlan:
+class FollowPlan(Record):
     """The actionable content of one source of a top goal extension."""
 
     source: tuple[str, ...]
     items: tuple[FollowItem, ...]
 
 
-@dataclass(frozen=True)
 class Solution(GoalRanking):
     """Everything ``resolve`` computed for one patient case."""
 

@@ -12,7 +12,6 @@ goals, and the stated preferences and priorities.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +26,7 @@ from .errors import (
     InvalidInteraction,
     PreferenceOverUnknownRec,
     PriorityNotTotal,
+    Record,
     SchemaError,
     UnknownLandmark,
     ValidationError,
@@ -48,8 +48,7 @@ MAX_DENOMINATOR = 1000
 CONTRIBUTIONS = ("+", "-", "0")
 
 
-@dataclass(frozen=True, order=True)
-class DeonticStrength:
+class DeonticStrength(Record, order=True):
     """How strongly an action is (dis)recommended, as an exact rational."""
 
     value: Fraction
@@ -96,8 +95,7 @@ class DeonticStrength:
         return self.value >= 0
 
 
-@dataclass(frozen=True, order=True)
-class Track:
+class Track(Record, order=True):
     """One causation track: the action's effect on one property."""
 
     property: str
@@ -112,8 +110,7 @@ class Track:
             )
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(Record):
     name: str
     action: str
     strength: DeonticStrength
@@ -174,8 +171,7 @@ class Modal(enum.Enum):
     UNCERTAIN = "uncertain"
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(Record):
     """Two recommendations that cannot (certainly or possibly) be followed together."""
 
     first: str
@@ -213,8 +209,7 @@ def contradiction_free(names: Iterable[str], interactions: Iterable[Interaction]
 
 
 @total_ordering
-@dataclass(frozen=True)
-class StateTerm:
+class StateTerm(Record):
     """A patient-state observation: a property, optionally with its value.
 
     Terms sort by property, and a bare property before its valued forms.
@@ -234,8 +229,7 @@ class StateTerm:
         return f"{self.value} {self.property}"
 
 
-@dataclass(frozen=True, order=True)
-class GoalTerm:
+class GoalTerm(Record, order=True):
     """A care goal: bring about (or prevent) an effect on a property."""
 
     effect: str
@@ -247,8 +241,7 @@ class GoalTerm:
         return f"¬{base}" if self.negated else base
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """A validated patient context.
 
     ``action_preference`` holds the reflexive-transitive closure of the

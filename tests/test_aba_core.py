@@ -175,6 +175,14 @@ def test_validate_names_the_place_of_a_bad_symbol(raw, message):
             "rule body must be a collection of symbols, got 5",
         ),
         (
+            lambda: validate_framework(RawFramework(rules=(("p", "ab"),), assumptions=("a", "b"))),
+            "rule body must be a collection of symbols, got 'ab'",
+        ),
+        (
+            lambda: RawFramework.of(rules=[("p", "ab")], assumptions=["a", "b"]),
+            "rule body must be a collection of symbols, got 'ab'",
+        ),
+        (
             lambda: validate_framework(RawFramework(assumptions=("x",), contraries=(("x",),))),
             "contrary must be an (assumption, contrary) pair, got ('x',)",
         ),
@@ -191,6 +199,8 @@ def test_validate_names_the_place_of_a_bad_symbol(raw, message):
         "of-rule-int",
         "body-int",
         "of-body-int",
+        "body-str",
+        "of-body-str",
         "contrary-single",
         "preference-triple",
     ],
@@ -208,6 +218,21 @@ def test_a_long_bad_symbol_is_cut_to_a_short_message():
     assert message.startswith("assumption symbol must be a nonempty string, got ['x'")
     assert message.endswith("...")
     assert len(message) < 200
+
+
+def test_a_string_rule_body_is_not_read_as_its_characters():
+    # ("p", "ab") would otherwise become p <- a, b
+    for build in (
+        lambda body: RawFramework.of(rules=[("p", body)], assumptions=["a"]),
+        lambda body: validate_framework(RawFramework(rules=(("p", body),), assumptions=("a",))),
+        lambda body: Rule.of("p", body),
+    ):
+        with pytest.raises((ValidationError, TypeError)) as caught:
+            build("a" * 200)
+        message = str(caught.value)
+        assert message.startswith("rule body must be a collection of symbols, got 'aaa")
+        assert message.endswith("...") and len(message) < 200
+    assert Rule.of("p", ("a",)) == Rule.of("p", ["a"]) == Rule.of("p", {"a"})
 
 
 def test_missing_contraries_are_minted_fresh():
