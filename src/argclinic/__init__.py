@@ -8,126 +8,90 @@ preferred extensions, and ranks the outcomes by the goals they achieve.
 
 from importlib import import_module as _import_module
 
-# Each public name, by the module that defines it.  The package imports that
-# module when the name is first looked up (PEP 562), so importing one module
-# of the package does not import the others.
-_HOMES = {
-    "aba_core": (
-        "AbaFramework Preorder RawFramework Rule Sentence SupportTable "
-        "attack_kinds attack_witnesses attacks canonical_attackers "
-        "compute_supports conclusions defends extension_sort_key "
-        "is_conflict_free preferred_extensions validate_framework"
-    ).split(),
-    "aba_goals": (
-        "AbapgFramework GoalExtension GoalRanking collect_goal_extensions "
-        "goal_set_leq maximal_goal_extensions rank_goals validate_abapg"
-    ).split(),
-    "aba_text": (
-        "ParsedProgram parse_aba_text serialize_abapg serialize_framework"
-    ).split(),
-    "bundle": (
-        "GuidelineBundle parse_bundle serialize_bundle"
-    ).split(),
-    "errors": (
-        "AmbiguousActionPreference ArgClinicError ConfigError "
-        "ContraryConflict DanglingPreference DsOutOfRange DuplicateName "
-        "EmptyTracks FlatnessViolation GoalWithoutRule IncompatibleContext "
-        "IncompatibleGoal IncompatibleState InvalidInteraction "
-        "OracleSizeExceeded ParseError PreferenceOverUnknownRec "
-        "PriorityMentionsNonGoal PriorityNotTotal SchemaError "
-        "SizeLimitExceeded SymbolCollision UnknownLandmark ValidationError"
-    ).split(),
-    "mapper": (
-        "FollowItem FollowPlan MappingReport Solution "
-        "build_patient_framework resolve symbolize"
-    ).split(),
-    "tmr": (
-        "Context DeonticStrength GoalTerm Interaction Modal Recommendation "
-        "StateTerm Track contradiction_free validate_context "
-        "validate_interaction validate_recommendation"
-    ).split(),
+# Each public name, by the module that defines it; ``__all__`` keeps this
+# order.  The package imports that module when the name is first looked up
+# (PEP 562), so importing one module of the package does not import others.
+_MODULE_OF = {
+    "AbaFramework": "aba_core",
+    "AbapgFramework": "aba_goals",
+    "AmbiguousActionPreference": "errors",
+    "ArgClinicError": "errors",
+    "ConfigError": "errors",
+    "Context": "tmr",
+    "ContraryConflict": "errors",
+    "DanglingPreference": "errors",
+    "DeonticStrength": "tmr",
+    "DsOutOfRange": "errors",
+    "DuplicateName": "errors",
+    "EmptyTracks": "errors",
+    "FlatnessViolation": "errors",
+    "GoalWithoutRule": "errors",
+    "IncompatibleContext": "errors",
+    "IncompatibleGoal": "errors",
+    "IncompatibleState": "errors",
+    "InvalidInteraction": "errors",
+    "FollowItem": "mapper",
+    "FollowPlan": "mapper",
+    "GoalExtension": "aba_goals",
+    "GoalRanking": "aba_goals",
+    "GoalTerm": "tmr",
+    "GuidelineBundle": "bundle",
+    "Interaction": "tmr",
+    "MappingReport": "mapper",
+    "Modal": "tmr",
+    "OracleSizeExceeded": "errors",
+    "ParseError": "errors",
+    "ParsedProgram": "aba_text",
+    "PreferenceOverUnknownRec": "errors",
+    "Preorder": "aba_core",
+    "PriorityMentionsNonGoal": "errors",
+    "PriorityNotTotal": "errors",
+    "RawFramework": "aba_core",
+    "Recommendation": "tmr",
+    "Rule": "aba_core",
+    "SchemaError": "errors",
+    "Sentence": "aba_core",
+    "SizeLimitExceeded": "errors",
+    "Solution": "mapper",
+    "StateTerm": "tmr",
+    "SupportTable": "aba_core",
+    "SymbolCollision": "errors",
+    "Track": "tmr",
+    "UnknownLandmark": "errors",
+    "ValidationError": "errors",
+    "attack_kinds": "aba_core",
+    "attack_witnesses": "aba_core",
+    "attacks": "aba_core",
+    "build_patient_framework": "mapper",
+    "canonical_attackers": "aba_core",
+    "collect_goal_extensions": "aba_goals",
+    "compute_supports": "aba_core",
+    "conclusions": "aba_core",
+    "contradiction_free": "tmr",
+    "defends": "aba_core",
+    "extension_sort_key": "aba_core",
+    "goal_set_leq": "aba_goals",
+    "is_conflict_free": "aba_core",
+    "maximal_goal_extensions": "aba_goals",
+    "parse_aba_text": "aba_text",
+    "parse_bundle": "bundle",
+    "preferred_extensions": "aba_core",
+    "rank_goals": "aba_goals",
+    "resolve": "mapper",
+    "serialize_abapg": "aba_text",
+    "serialize_bundle": "bundle",
+    "serialize_framework": "aba_text",
+    "symbolize": "mapper",
+    "validate_abapg": "aba_goals",
+    "validate_context": "tmr",
+    "validate_framework": "aba_core",
+    "validate_interaction": "tmr",
+    "validate_recommendation": "tmr",
 }
-_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbaFramework",
-    "AbapgFramework",
-    "AmbiguousActionPreference",
-    "ArgClinicError",
-    "ConfigError",
-    "Context",
-    "ContraryConflict",
-    "DanglingPreference",
-    "DeonticStrength",
-    "DsOutOfRange",
-    "DuplicateName",
-    "EmptyTracks",
-    "FlatnessViolation",
-    "GoalWithoutRule",
-    "IncompatibleContext",
-    "IncompatibleGoal",
-    "IncompatibleState",
-    "InvalidInteraction",
-    "FollowItem",
-    "FollowPlan",
-    "GoalExtension",
-    "GoalRanking",
-    "GoalTerm",
-    "GuidelineBundle",
-    "Interaction",
-    "MappingReport",
-    "Modal",
-    "OracleSizeExceeded",
-    "ParseError",
-    "ParsedProgram",
-    "PreferenceOverUnknownRec",
-    "Preorder",
-    "PriorityMentionsNonGoal",
-    "PriorityNotTotal",
-    "RawFramework",
-    "Recommendation",
-    "Rule",
-    "SchemaError",
-    "Sentence",
-    "SizeLimitExceeded",
-    "Solution",
-    "StateTerm",
-    "SupportTable",
-    "SymbolCollision",
-    "Track",
-    "UnknownLandmark",
-    "ValidationError",
-    "attack_kinds",
-    "attack_witnesses",
-    "attacks",
-    "build_patient_framework",
-    "canonical_attackers",
-    "collect_goal_extensions",
-    "compute_supports",
-    "conclusions",
-    "contradiction_free",
-    "defends",
-    "extension_sort_key",
-    "goal_set_leq",
-    "is_conflict_free",
-    "maximal_goal_extensions",
-    "parse_aba_text",
-    "parse_bundle",
-    "preferred_extensions",
-    "rank_goals",
-    "resolve",
-    "serialize_abapg",
-    "serialize_bundle",
-    "serialize_framework",
-    "symbolize",
-    "validate_abapg",
-    "validate_context",
-    "validate_framework",
-    "validate_interaction",
-    "validate_recommendation",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -212,11 +212,17 @@ class AbaFramework(Record):
         return members
 
 
-def fresh_symbol(base: str, taken: set[str]) -> str:
-    symbol = base
-    while symbol in taken:
-        symbol += "_"
-    return symbol
+def mint_contraries(assumptions: Iterable[str], taken: set[str]) -> dict[str, str]:
+    """``contrary_of_<a>`` for each assumption ``a`` in sorted order, with ``_``
+    appended until the name is not in ``taken``, which each new name joins."""
+    minted = {}
+    for asm in sorted(assumptions):
+        symbol = f"contrary_of_{asm}"
+        while symbol in taken:
+            symbol += "_"
+        taken.add(symbol)
+        minted[asm] = symbol
+    return minted
 
 
 def _reject_bad_symbols(places: Mapping[str, Iterable]) -> None:
@@ -315,9 +321,7 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     for rule in rules:
         taken.add(rule.head)
         taken.update(rule.body)
-    for asm in sorted(assumptions - contrary.keys()):
-        symbol = fresh_symbol(f"contrary_of_{asm}", taken)
-        taken.add(symbol)
+    for asm, symbol in mint_contraries(assumptions - contrary.keys(), taken).items():
         contrary[asm] = Sentence(symbol)
 
     for pair in preference_pairs:
@@ -507,22 +511,56 @@ class _AttackTables(Record):
         return tuple(parts)
 
     @cached_property
-    def reverse_owners(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(i, reverse[i])`` for each assumption with a reverse support."""
-        return tuple((i, masks) for i, masks in enumerate(self.reverse) if masks)
+    def reverse_pairs(self) -> tuple[tuple[int, int], ...]:
+        """``(member bit, support)`` for every reverse support of every member."""
+        return tuple((1 << i, s) for i, masks in enumerate(self.reverse) for s in masks)
 
-    def canonical_attacker_masks(self, target: int) -> frozenset[int]:
-        found: set[int] = set()
+    @cached_property
+    def _counters(self) -> dict[int, tuple[int, list[int]]]:
+        return {}
+
+    def canonical_attacker_masks(self, target: int) -> list[int]:
+        """:func:`canonical_attackers` of ``target`` as masks, with repeats."""
+        attackers = [j for j, s in self.reverse_pairs if s & ~target == 0]
+        normal = self.normal
         rest = target
         while rest:
             low = rest & -rest
-            i = low.bit_length() - 1
-            found.update(self.normal[i])
+            attackers.extend(normal[low.bit_length() - 1])
             rest ^= low
-        for i, masks in self.reverse_owners:
-            if any(s & ~target == 0 for s in masks):
-                found.add(1 << i)
-        return frozenset(found)
+        return attackers
+
+    def uncountered(self, defender: int, attackers, every: bool = False) -> list[int]:
+        """The first of ``attackers`` that ``defender`` does not attack, or all if ``every``.
+
+        The counters of each attacker are memoised per framework."""
+        counters = self._counters
+        left = []
+        for c in attackers:
+            got = counters.get(c)
+            if got is None:
+                normal = self.normal
+                by_reverse = 0
+                for j, s in self.reverse_pairs:
+                    if s & ~c == 0:
+                        by_reverse |= j
+                by_normal = []
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    by_normal.extend(normal[low.bit_length() - 1])
+                    rest ^= low
+                got = counters[c] = (by_reverse, by_normal)
+            if defender & got[0]:
+                continue
+            for s in got[1]:
+                if s & ~defender == 0:
+                    break
+            else:
+                left.append(c)
+                if not every:
+                    break
+        return left
 
     def defends(self, defender: int, target: int) -> bool:
         """True iff ``defender`` attacks every set attacking ``target``.
@@ -531,9 +569,7 @@ class _AttackTables(Record):
         attacker: attacks are monotone in the attacking set, and each
         attacker contains a canonical one.
         """
-        return all(
-            self.attacks(defender, c) for c in self.canonical_attacker_masks(target)
-        )
+        return not self.uncountered(defender, self.canonical_attacker_masks(target))
 
 
 @lru_cache(maxsize=8)
@@ -625,7 +661,7 @@ def canonical_attackers(
     member.  Defence checks only need to counter these.
     """
     tables, t = _masks(framework, target)
-    sets = [tables.table.from_mask(m) for m in tables.canonical_attacker_masks(t)]
+    sets = [tables.table.from_mask(m) for m in set(tables.canonical_attacker_masks(t))]
     return tuple(sorted(sets, key=extension_sort_key))
 
 
@@ -645,17 +681,19 @@ def defends(
     return tables.defends(d, t)
 
 
-def _env_cap() -> int:
-    env = os.environ.get(SIZE_CAP_ENV)
-    if env is None:
-        return DEFAULT_SIZE_CAP
+def _check_size(framework: AbaFramework) -> None:
+    """Raise :class:`SizeLimitExceeded` when the framework has more assumptions
+    than the cap: the ARGCLINIC_MAX_ASSUMPTIONS environment variable, else 24."""
+    env = os.environ.get(SIZE_CAP_ENV, str(DEFAULT_SIZE_CAP))
     try:
         cap = int(env)
     except ValueError:
         cap = -1
     if cap < 0:
         raise ConfigError(f"{SIZE_CAP_ENV} must be a non-negative integer, got {env!r}")
-    return cap
+    n = len(framework.assumptions)
+    if n > cap:
+        raise SizeLimitExceeded(f"{n} assumptions exceed the enumeration cap of {cap}")
 
 
 def preferred_extensions(framework: AbaFramework) -> tuple[frozenset[Sentence], ...]:
@@ -666,17 +704,10 @@ def preferred_extensions(framework: AbaFramework) -> tuple[frozenset[Sentence], 
     extension per part.  Within a part, a depth-first search decides the
     members one at a time (see :func:`_preferred_masks`), so the cost is
     exponential at worst in the largest part.  The empty set is admissible,
-    so the result is never empty.
-    Raises :class:`SizeLimitExceeded` when the count of all assumptions
-    exceeds the cap (the ARGCLINIC_MAX_ASSUMPTIONS environment variable,
-    else 24).
+    so the result is never empty.  Raises :class:`SizeLimitExceeded` past
+    the cap of :func:`_check_size`.
     """
-    cap = _env_cap()
-    n = len(framework.assumptions)
-    if n > cap:
-        raise SizeLimitExceeded(
-            f"{n} assumptions exceed the enumeration cap of {cap}"
-        )
+    _check_size(framework)
     tables = _attack_tables(framework)
     normal = tables.normal
     fixed = 0  # the union of the parts that have one preferred extension
@@ -711,13 +742,9 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
     An admissible ``upper`` is the one maximal set below its node and is
     kept whole.  Deciding "in" first means no later extension contains an
     earlier one.
-
-    ``upper`` counters a canonical attacker ``c`` when it meets the members
-    whose reverse supports lie inside ``c`` or contains a support of the
-    contrary of a member of ``c``; both are memoised per ``c``.
     """
     normal, reverse = tables.normal, tables.reverse
-    attacks = tables.attacks
+    attacks, uncountered = tables.attacks, tables.uncountered
     usable = 0
     rev: list[tuple[int, int]] = []  # (member bit, one of its reverse supports)
     rest = part
@@ -734,45 +761,6 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
     for j, s in rev:
         if s & (s - 1) == 0:
             own[s] = own.get(s, ()) + (j,)
-    counters: dict[int, tuple[int, list[int]]] = {}
-
-    def uncountered(upper: int, attackers, every: bool = False) -> list[int]:
-        """The first of ``attackers`` that ``upper`` does not attack, or all if ``every``."""
-        left = []
-        for c in attackers:
-            got = counters.get(c)
-            if got is None:
-                by_reverse = 0
-                for j, s in rev:
-                    if s & ~c == 0:
-                        by_reverse |= j
-                by_normal = []
-                rest = c
-                while rest:
-                    low = rest & -rest
-                    by_normal.extend(normal[low.bit_length() - 1])
-                    rest ^= low
-                got = counters[c] = (by_reverse, by_normal)
-            if upper & got[0]:
-                continue
-            for s in got[1]:
-                if s & ~upper == 0:
-                    break
-            else:
-                left.append(c)
-                if not every:
-                    break
-        return left
-
-    def attackers_of(target: int) -> list[int]:
-        """The canonical attackers of ``target``, a set inside the part."""
-        attackers = [j for j, s in rev if s & ~target == 0]
-        rest = target
-        while rest:
-            low = rest & -rest
-            attackers.extend(normal[low.bit_length() - 1])
-            rest ^= low
-        return attackers
 
     found: list[int] = []
     # (inside, rest, the canonical attackers of inside that inside does not counter)
@@ -793,7 +781,7 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
             continue
         if upper != reach and open_ and uncountered(upper, open_):
             continue
-        if not attacks(upper, upper) and not uncountered(upper, attackers_of(upper)):
+        if not attacks(upper, upper) and tables.defends(upper, upper):
             found.append(upper)
             continue
         # Go "in" while that stays alive, leaving each live "out" on the stack.

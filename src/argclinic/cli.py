@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from .aba_core import (
     AbaFramework,
+    _check_size,
     attack_witnesses,
     canonical_attackers,
     compute_supports,
@@ -261,7 +262,7 @@ def _cmd_explain(args) -> int:
         framework = _map_bundle(args.bundle)[1].base
     else:
         framework = _parse_program(args.aba)[0].base
-
+    _check_size(framework)
     table = compute_supports(framework)
     sys.stdout.write("supports:\n")
     for sentence in sorted(table.sentences()):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .aba_core import RawFramework, fresh_symbol, validate_framework
+from .aba_core import RawFramework, mint_contraries, validate_framework
 from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
 from .errors import Record, SymbolCollision
 from .tmr import Context, GoalTerm, Interaction, Modal, Recommendation, validate_context
@@ -202,12 +202,10 @@ def build_patient_framework(
     assumptions = tuple(sorted(by_name)) + tuple(sorted(token_assumptions))
 
     # Contrary symbols: fresh per assumption against every interned symbol.
-    taken = table.symbols()
-    contraries: dict[str, str] = {}
-    for asm in sorted(assumptions):
-        symbol = fresh_symbol(f"contrary_of_{asm}", taken)
-        taken.add(symbol)
-        contraries[asm] = table.intern("contrary", asm, symbol)
+    contraries = {
+        asm: table.intern("contrary", asm, symbol)
+        for asm, symbol in mint_contraries(assumptions, table.symbols()).items()
+    }
 
     for family, target, body in conflicts:
         families[family].add((contraries[target], body))

@@ -513,6 +513,28 @@ def test_canonical_attackers_empty_for_unattacked_target():
     assert canonical_attackers(framework, sset("a")) == ()
 
 
+SHARED_SUPPORT = dict(
+    # x and y, the contraries of a and b, share the support {c}; c also
+    # attacks a in reverse, as a is below c and derives w, the contrary of c
+    rules=[("x", ["c"]), ("y", ["c"]), ("w", ["a"])],
+    assumptions=["a", "b", "c"],
+    contraries=[("a", "x"), ("b", "y"), ("c", "w")],
+    preferences=[("a", "c")],
+)
+
+
+def test_a_support_shared_by_two_contraries_is_one_canonical_attacker():
+    framework = fw(**SHARED_SUPPORT)
+    tables = _attack_tables(framework)
+    both = tables.table.to_mask(sset("a", "b"))
+    # the kernel's list repeats {c}: once in reverse, once per contrary
+    assert sorted(tables.canonical_attacker_masks(both)) == [0b100] * 3
+    assert canonical_attackers(framework, sset("a", "b")) == (sset("c"),)
+    assert canonical_attackers(framework, sset("a")) == (sset("c"),)
+    assert not defends(framework, sset("a", "b"), sset("a", "b"))
+    assert preferred_extensions(framework) == (sset("c"),)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_every_attacker_contains_a_canonical_attacker(seed):

@@ -377,6 +377,25 @@ def test_explain_prints_the_whole_patient_report(capsys):
     )
 
 
+def test_explain_lists_a_shared_support_once(tmp_path, capsys):
+    # x and y, the contraries of a and b, share the support {c}, which also
+    # attacks a in reverse: three routes to one canonical attacker of {a}
+    program = tmp_path / "shared.aba"
+    program.write_text(
+        "assumption(a).\nassumption(b).\nassumption(c).\n"
+        "contrary(a, x).\ncontrary(b, y).\ncontrary(c, w).\n"
+        "rule(x, [c]).\nrule(y, [c]).\nrule(w, [a]).\nprefer(a, c).\n"
+    )
+    code, out, err = run(capsys, "explain", "--aba", str(program))
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "canonical attackers:\n"
+        "  of {a}: {c}\n"
+        "  of {b}: {c}\n"
+        "  of {c}: none\n"
+    )
+
+
 def test_explain_reads_textual_frameworks(tmp_path, capsys):
     program = tmp_path / "case.aba"
     program.write_text(GOAL_PROGRAM)
@@ -513,11 +532,12 @@ def test_solve_at_the_default_cap_gives_the_closed_form(
     assert out == "preferred extensions:\n  {" + ", ".join(sorted(kept)) + "}\n"
 
 
-def test_default_cap_still_rejects_25_assumptions(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["solve", "explain"])
+def test_default_cap_still_rejects_25_assumptions(tmp_path, capsys, monkeypatch, command):
     monkeypatch.delenv("ARGCLINIC_MAX_ASSUMPTIONS", raising=False)
     program = tmp_path / "pairs.aba"
     program.write_text(serialize_framework(attacked_pairs(12, free=1)))
-    code, out, err = run(capsys, "solve", "--aba", str(program))
+    code, out, err = run(capsys, command, "--aba", str(program))
     assert (code, out) == (3, "")
     assert err == "error: 25 assumptions exceed the enumeration cap of 24\n"
 
@@ -746,3 +766,28 @@ def test_map_output_with_dot_led_names_reads_back(tmp_path, capsys):
         "top goal extensions:\n"
         "  {Decrease_Blood_Coagulation}  <-  {.r1}\n",
     )
+
+
+def test_a_recommendation_named_like_a_minted_contrary_bumps_the_contrary(tmp_path, capsys):
+    # r2, renamed contrary_of_r1, holds the name the mapper would give r1's contrary
+    text = Path(ASPIRIN_PREF).read_text(encoding="utf-8").replace('"r2"', '"contrary_of_r1"')
+    data = json.loads(text)
+    data["interactions"][0]["modal"] = "uncertain"
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    b = argclinic.parse_bundle(json.dumps(data))
+    built, _ = build_patient_framework(b.recommendations, b.interactions, b.context)
+    assert built.base.contrary("r1") == "contrary_of_r1_"
+    assert built.base.contrary("contrary_of_r1") == "contrary_of_contrary_of_r1"
+
+    code, out, _ = run(capsys, "map", "--bundle", str(path))
+    assert code == 0
+    program = parse_aba_text(out)
+    reparsed = validate_framework(program.raw)
+    assert reparsed == built.base
+    assert argclinic.validate_abapg(reparsed, program.goals, program.priorities) == built
+    program_path = tmp_path / "clash.aba"
+    program_path.write_text(out, encoding="utf-8")
+    by_text = run(capsys, "solve", "--quiet", "--aba", str(program_path))
+    by_bundle = run(capsys, "solve", "--quiet", "--bundle", str(path))
+    assert by_text == by_bundle == (0, "{int_r1_contrary_of_r1, r1}\n", "")
