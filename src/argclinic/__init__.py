@@ -23,7 +23,6 @@ _MODULE_OF = {
     "DeonticStrength": "tmr",
     "DsOutOfRange": "errors",
     "DuplicateName": "errors",
-    "EmptyTracks": "errors",
     "FlatnessViolation": "errors",
     "GoalWithoutRule": "errors",
     "IncompatibleContext": "errors",
@@ -86,7 +85,7 @@ _MODULE_OF = {
     "validate_context": "tmr",
     "validate_framework": "aba_core",
     "validate_interaction": "tmr",
-    "validate_recommendation": "tmr",
+    "validate_recommendation": "bundle",
 }
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ class Sentence(str):
 
     def __new__(cls, symbol: str) -> "Sentence":
         if not isinstance(symbol, str) or not symbol:
-            raise ValueError(f"sentence symbol must be a nonempty str, got {symbol!r}")
+            raise ValueError(f"sentence symbol must be a nonempty str, got {_cut(repr(symbol))}")
         return str.__new__(cls, symbol)
 
     symbol = property(str.__str__, doc="The symbol, as a plain ``str``.")
@@ -295,24 +295,24 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     for rule in rules:
         if rule.head in assumptions:
             raise FlatnessViolation(
-                f"assumption {rule.head.symbol!r} appears as a rule head"
+                f"assumption {_cut(repr(rule.head.symbol))} appears as a rule head"
             )
 
     contrary: dict[Sentence, Sentence] = {}
     for asm, target in contrary_pairs:
         if asm not in assumptions:
             raise ContraryConflict(
-                f"contrary declared for {asm.symbol!r}, which is not an assumption"
+                f"contrary declared for {_cut(repr(asm.symbol))}, which is not an assumption"
             )
         if target in assumptions:
             raise ContraryConflict(
-                f"contrary of {asm.symbol!r} is {target.symbol!r}, "
+                f"contrary of {_cut(repr(asm.symbol))} is {_cut(repr(target.symbol))}, "
                 "which is itself an assumption"
             )
         if asm in contrary and contrary[asm] != target:
             raise ContraryConflict(
-                f"conflicting contraries for {asm.symbol!r}: "
-                f"{contrary[asm].symbol!r} and {target.symbol!r}"
+                f"conflicting contraries for {_cut(repr(asm.symbol))}: "
+                f"{_cut(repr(contrary[asm].symbol))} and {_cut(repr(target.symbol))}"
             )
         contrary[asm] = target
 
@@ -328,7 +328,7 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
         for s in pair:
             if s not in assumptions:
                 raise DanglingPreference(
-                    f"preference mentions {s.symbol!r}, which is not an assumption"
+                    f"preference mentions {_cut(repr(s.symbol))}, which is not an assumption"
                 )
     preference = Preorder.over(assumptions, preference_pairs)
     return AbaFramework(
@@ -690,7 +690,7 @@ def _check_size(framework: AbaFramework) -> None:
     except ValueError:
         cap = -1
     if cap < 0:
-        raise ConfigError(f"{SIZE_CAP_ENV} must be a non-negative integer, got {env!r}")
+        raise ConfigError(f"{SIZE_CAP_ENV} must be a non-negative integer, got {_cut(repr(env))}")
     n = len(framework.assumptions)
     if n > cap:
         raise SizeLimitExceeded(f"{n} assumptions exceed the enumeration cap of {cap}")

@@ -21,7 +21,7 @@ from .aba_core import (
     extension_sort_key,
     preferred_extensions,
 )
-from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal, Record
+from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal, Record, _cut
 
 
 class AbapgFramework(Record):
@@ -57,13 +57,13 @@ def validate_abapg(
     for goal in sorted(goal_set):
         if goal not in heads:
             raise GoalWithoutRule(
-                f"goal {goal.symbol!r} has no rule deriving it"
+                f"goal {_cut(repr(goal.symbol))} has no rule deriving it"
             )
     for pair in raw:
         for s in pair:
             if s not in goal_set:
                 raise PriorityMentionsNonGoal(
-                    f"priority mentions {s.symbol!r}, which is not a declared goal"
+                    f"priority mentions {_cut(repr(s.symbol))}, which is not a declared goal"
                 )
     priority = Preorder.over(goal_set, raw)
     ordered = sorted(priority.carrier)
@@ -71,7 +71,7 @@ def validate_abapg(
         for b in ordered:
             if not priority.leq(a, b) and not priority.leq(b, a):
                 raise PriorityNotTotal(
-                    f"goals {a.symbol!r} and {b.symbol!r} are incomparable"
+                    f"goals {_cut(repr(a.symbol))} and {_cut(repr(b.symbol))} are incomparable"
                 )
     return AbapgFramework(base=base, goals=goal_set, priority=priority)
 

@@ -23,7 +23,7 @@ from typing import Iterable, NoReturn
 
 from .aba_core import AbaFramework, RawFramework
 from .aba_goals import AbapgFramework
-from .errors import ParseError, Record
+from .errors import ParseError, Record, _cut
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_.¬-]+")
 
@@ -99,7 +99,7 @@ class _LineParser:
         if self.pos < len(self.tokens):
             text, column = self.tokens[self.pos]
             return ParseError(
-                f"expected {expected}, found {text!r}",
+                f"expected {expected}, found {_cut(repr(text))}",
                 self.line_no,
                 column,
                 expected=expected,

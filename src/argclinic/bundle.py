@@ -154,7 +154,9 @@ def _recommendation(raw: Any, pointer: str, names: set[str]) -> Recommendation:
     _object(raw, pointer, ("name", "action", "deontic_strength", "tracks"))
     name = _string(raw["name"], f"{pointer}/name", _NAME)
     if name in names:
-        raise DuplicateName(f"recommendation name {name!r} appears twice", f"{pointer}/name")
+        raise DuplicateName(
+            f"recommendation name {_cut(repr(name))} appears twice", f"{pointer}/name"
+        )
     names.add(name)
     action = _term(raw["action"], f"{pointer}/action")
     strength = raw["deontic_strength"]
@@ -166,6 +168,15 @@ def _recommendation(raw: Any, pointer: str, names: set[str]) -> Recommendation:
         strength=DeonticStrength.parse(strength),
         tracks=tuple(_items(raw["tracks"], f"{pointer}/tracks", _track, min_items=1)),
     )
+
+
+def validate_recommendation(raw: Any) -> Recommendation:
+    """Read one bundle recommendation entry, under the bundle's rules.
+
+    A bad shape raises :class:`SchemaError` with a pointer into the entry
+    (``/name``, ``/tracks/0``, ...); a bad strength, the strength's error.
+    """
+    return _recommendation(raw, "", set())
 
 
 def _interaction(raw: Any, pointer: str, names: set[str]) -> Interaction:

@@ -57,10 +57,6 @@ class PriorityMentionsNonGoal(ValidationError):
 
 # --- recommendation / context validation ------------------------------------
 
-class EmptyTracks(ValidationError):
-    """A recommendation carries no causation tracks."""
-
-
 class DsOutOfRange(ValidationError):
     """A deontic strength lies outside [-1, 1]."""
 

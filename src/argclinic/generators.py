@@ -15,14 +15,15 @@ from .aba_core import AbaFramework, RawFramework, validate_framework
 from .aba_goals import AbapgFramework, validate_abapg
 from .tmr import (
     Context,
+    DeonticStrength,
     GoalTerm,
     Interaction,
     Recommendation,
     StateTerm,
+    Track,
     contradiction_free,
     validate_context,
     validate_interaction,
-    validate_recommendation,
 )
 
 _LANDMARKS = ["must", "should", "may", "should_not", "must_not"]
@@ -132,25 +133,17 @@ def random_tmr_instance(
                 strength = rng.choice(_LANDMARKS)
             else:
                 strength = round(rng.uniform(-1.0, 1.0), 3)
-            tracks = []
-            for prop in rng.sample(_PROPERTIES, rng.randint(1, 3)):
-                tracks.append(
-                    {
-                        "property": prop,
-                        "effect": rng.choice(_EFFECTS),
-                        "initial_value": rng.choice(_VALUES + [None]),
-                        "contribution": rng.choice(["+", "-", "0"]),
-                    }
+            tracks = tuple(
+                Track(
+                    property=prop,
+                    effect=rng.choice(_EFFECTS),
+                    initial_value=rng.choice(_VALUES + [None]),
+                    contribution=rng.choice(["+", "-", "0"]),
                 )
+                for prop in rng.sample(_PROPERTIES, rng.randint(1, 3))
+            )
             recommendations.append(
-                validate_recommendation(
-                    {
-                        "name": name,
-                        "action": action,
-                        "deontic_strength": strength,
-                        "tracks": tracks,
-                    }
-                )
+                Recommendation(name, action, DeonticStrength.parse(strength), tracks)
             )
 
         interactions = []

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .aba_core import RawFramework, mint_contraries, validate_framework
 from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
-from .errors import Record, SymbolCollision
+from .errors import Record, SymbolCollision, _cut
 from .tmr import Context, GoalTerm, Interaction, Modal, Recommendation, validate_context
 
 
@@ -76,8 +76,8 @@ class _SymbolTable:
         owner = self._owners.get(symbol)
         if owner is not None and owner != key:
             raise SymbolCollision(
-                f"{kind} {display!r} and {owner[0]} {owner[1]!r} "
-                f"both map to the sentence {symbol!r}"
+                f"{kind} {_cut(repr(display))} and {owner[0]} {_cut(repr(owner[1]))} "
+                f"both map to the sentence {_cut(repr(symbol))}"
             )
         self.entries[key] = symbol
         self._owners[symbol] = key

@@ -6,7 +6,9 @@ with causation tracks describing which property each action affects, how,
 from which initial value, and whether that effect is welcome.  Interactions
 mark pairs of recommendations that cannot be followed together, either
 certainly or only possibly.  A context carries the patient's state, the care
-goals, and the stated preferences and priorities.
+goals, and the stated preferences and priorities.  The types here are built
+from Python values; ``bundle`` reads them from JSON, one recommendation entry
+at a time with ``validate_recommendation``.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from .aba_core import transitive_closure
 from .errors import (
     AmbiguousActionPreference,
     DsOutOfRange,
-    EmptyTracks,
     IncompatibleGoal,
     IncompatibleState,
     InvalidInteraction,
     PreferenceOverUnknownRec,
     PriorityNotTotal,
     Record,
-    SchemaError,
     UnknownLandmark,
     ValidationError,
     _cut,
@@ -55,7 +55,7 @@ class DeonticStrength(Record, order=True):
 
     def __post_init__(self):
         if not Fraction(-1) <= self.value <= Fraction(1):
-            raise DsOutOfRange(f"deontic strength {self.value} outside [-1, 1]")
+            raise DsOutOfRange(f"deontic strength {_cut(str(self.value))} outside [-1, 1]")
 
     @classmethod
     def from_landmark(cls, name: str) -> "DeonticStrength":
@@ -106,7 +106,7 @@ class Track(Record, order=True):
     def __post_init__(self):
         if self.contribution not in CONTRIBUTIONS:
             raise ValidationError(
-                f"contribution must be one of {CONTRIBUTIONS}, got {self.contribution!r}"
+                f"contribution must be one of {CONTRIBUTIONS}, got {_cut(repr(self.contribution))}"
             )
 
 
@@ -115,55 +115,6 @@ class Recommendation(Record):
     action: str
     strength: DeonticStrength
     tracks: tuple[Track, ...]
-
-
-def _field(raw, key: str, pointer: str):
-    """``raw[key]``, or a :class:`SchemaError` in the bundle's wording."""
-    if not isinstance(raw, Mapping):
-        raise SchemaError(f"{_cut(repr(raw))} is not of type 'object'", pointer)
-    if key not in raw:
-        raise SchemaError(f"{key!r} is a required property", pointer)
-    return raw[key]
-
-
-def _text(raw, key: str, pointer: str, required: bool = True) -> str | None:
-    """``raw[key]`` as a string, or a :class:`SchemaError` in the bundle's wording.
-
-    An optional key may be absent or ``None``.
-    """
-    value = _field(raw, key, pointer) if required else raw.get(key)
-    if value is None and not required:
-        return None
-    if not isinstance(value, str):
-        raise SchemaError(
-            f"{_cut(repr(value))} is not of type 'string'", f"{pointer.rstrip('/')}/{key}"
-        )
-    return value
-
-
-def validate_recommendation(raw: Mapping) -> Recommendation:
-    """Build a recommendation from a mapping with the bundle field names.
-
-    A bad shape raises :class:`SchemaError`; no tracks, :class:`EmptyTracks`.
-    """
-    name = _text(raw, "name", "/")
-    action = _text(raw, "action", "/")
-    strength = DeonticStrength.parse(_field(raw, "deontic_strength", "/"))
-    raw_tracks = raw.get("tracks", ())
-    if not isinstance(raw_tracks, (list, tuple)):
-        raise SchemaError(f"{_cut(repr(raw_tracks))} is not of type 'array'", "/tracks")
-    tracks = tuple(
-        Track(
-            property=_text(t, "property", f"/tracks/{i}"),
-            effect=_text(t, "effect", f"/tracks/{i}"),
-            initial_value=_text(t, "initial_value", f"/tracks/{i}", required=False),
-            contribution=_text(t, "contribution", f"/tracks/{i}"),
-        )
-        for i, t in enumerate(raw_tracks)
-    )
-    if not tracks:
-        raise EmptyTracks(f"recommendation {name!r} has no causation tracks")
-    return Recommendation(name=name, action=action, strength=strength, tracks=tracks)
 
 
 class Modal(enum.Enum):
@@ -184,18 +135,20 @@ def validate_interaction(
 ) -> Interaction:
     names = set(known_names)
     if first == second:
-        raise InvalidInteraction(f"recommendation {first!r} cannot interact with itself")
+        raise InvalidInteraction(
+            f"recommendation {_cut(repr(first))} cannot interact with itself"
+        )
     for endpoint in (first, second):
         if endpoint not in names:
             raise InvalidInteraction(
-                f"interaction endpoint {endpoint!r} names no known recommendation"
+                f"interaction endpoint {_cut(repr(endpoint))} names no known recommendation"
             )
     if isinstance(modal, str):
         try:
             modal = Modal(modal)
         except ValueError:
             raise InvalidInteraction(
-                f"interaction modality must be 'certain' or 'uncertain', got {modal!r}"
+                f"interaction modality must be 'certain' or 'uncertain', got {_cut(repr(modal))}"
             ) from None
     return Interaction(first=first, second=second, modal=modal)
 
@@ -264,13 +217,13 @@ def _resolve_preference_name(
     carriers = [r for r in recommendations if r.action == name]
     if not carriers:
         raise PreferenceOverUnknownRec(
-            f"preference mentions {name!r}, which is neither a recommendation "
+            f"preference mentions {_cut(repr(name))}, which is neither a recommendation "
             "name nor a recommended action"
         )
     signs = {r.strength.positive for r in carriers}
     if len(signs) > 1:
         raise AmbiguousActionPreference(
-            f"action {name!r} is recommended both positively and negatively; "
+            f"action {_cut(repr(name))} is recommended both positively and negatively; "
             "name the recommendation instead"
         )
     return tuple(r.name for r in carriers)
@@ -305,20 +258,20 @@ def validate_context(
         if term.value is None:
             if term.property not in track_properties:
                 raise IncompatibleState(
-                    f"no recommendation tracks the property {term.property!r}"
+                    f"no recommendation tracks the property {_cut(repr(term.property))}"
                 )
         elif (term.value, term.property) not in track_values:
             raise IncompatibleState(
-                f"no recommendation tracks {term.property!r} "
-                f"with initial value {term.value!r}"
+                f"no recommendation tracks {_cut(repr(term.property))} "
+                f"with initial value {_cut(repr(term.value))}"
             )
 
     goal_terms = frozenset(goals)
     for term in sorted(goal_terms):
         if (term.effect, term.property) not in track_effects:
             raise IncompatibleGoal(
-                f"no recommendation tracks the effect {term.effect!r} "
-                f"on {term.property!r}"
+                f"no recommendation tracks the effect {_cut(repr(term.effect))} "
+                f"on {_cut(repr(term.property))}"
             )
 
     preference_pairs: set[tuple[str, str]] = set()
@@ -334,7 +287,7 @@ def validate_context(
         for term in (low, high):
             if term not in goal_terms:
                 raise IncompatibleGoal(
-                    f"goal priority mentions {term.display()!r}, "
+                    f"goal priority mentions {_cut(repr(term.display()))}, "
                     "which is not a declared goal"
                 )
         priority_pairs.add((low, high))
@@ -344,7 +297,8 @@ def validate_context(
         for b in ordered_goals:
             if (a, b) not in closed_priority and (b, a) not in closed_priority:
                 raise PriorityNotTotal(
-                    f"goals {a.display()!r} and {b.display()!r} are incomparable"
+                    f"goals {_cut(repr(a.display()))} and {_cut(repr(b.display()))} "
+                    "are incomparable"
                 )
 
     return Context(

@@ -1,6 +1,7 @@
 """JSON bundles: schema diagnostics, normalisation, canonical output."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,16 @@ from argclinic import (
     PreferenceOverUnknownRec,
     SchemaError,
     StateTerm,
+    build_patient_framework,
+    parse_aba_text,
     parse_bundle,
+    serialize_abapg,
     serialize_bundle,
+    validate_abapg,
+    validate_framework,
+    validate_recommendation,
 )
+from argclinic.generators import random_bundle_data
 
 from conftest import FIXTURES
 
@@ -469,3 +477,72 @@ def test_the_first_defect_in_document_order_is_reported(first):
     with pytest.raises(SchemaError) as err:
         parse_bundle(json.dumps(data))
     assert err.value.pointer == MULTIPLE_DEFECTS[first][2]
+
+
+# ---------------------------------------------------------------------------
+# validate_recommendation: one bundle entry, read by the bundle's own reader
+
+
+def bundle_documents():
+    """The fixtures that parse, then 100 random bundles, as JSON data."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name != "broken.json":
+            yield json.loads(path.read_text(encoding="utf-8"))
+    rng = random.Random(0)
+    for _ in range(100):
+        yield random_bundle_data(rng)
+
+
+def test_validate_recommendation_reads_each_entry_as_the_bundle_does():
+    for data in bundle_documents():
+        by_name = {r.name: r for r in parse_bundle(data).recommendations}
+        for entry in data["recommendations"]:
+            assert validate_recommendation(entry) == by_name[entry["name"]]
+
+
+def entry(**changes):
+    raw = minimal()["recommendations"][0]
+    raw.update(changes)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # mapped, "r 1" would print as assumption(r 1), which does not parse back
+        (entry(name="r 1"), "/name: 'r 1' does not match '^[A-Za-z0-9_.-]+$'"),
+        (
+            entry(extra=1),
+            "/: Additional properties are not allowed ('extra' was unexpected)",
+        ),
+        (
+            entry(deontic_strength=True),
+            "/deontic_strength: True is not valid under any of the given schemas",
+        ),
+        (
+            entry(tracks=[{"property": "Pain", "effect": "Decrease", "contribution": "+"}]),
+            "/tracks/0: 'initial_value' is a required property",
+        ),
+    ],
+    ids=["name-with-a-space", "unknown-key", "bool-strength", "no-initial-value"],
+)
+def test_validate_recommendation_refuses_what_a_bundle_refuses(raw, message):
+    with pytest.raises(SchemaError) as caught:
+        validate_recommendation(raw)
+    assert str(caught.value) == message
+
+
+def test_validate_recommendation_normalises_terms():
+    assert validate_recommendation(entry(action="Adm.   Aspirin")).action == "Adm. Aspirin"
+
+
+def test_map_output_of_library_recommendations_reparses():
+    for data in bundle_documents():
+        bundle = parse_bundle(data)
+        recommendations = [validate_recommendation(e) for e in data["recommendations"]]
+        built, _ = build_patient_framework(recommendations, bundle.interactions, bundle.context)
+        program = parse_aba_text(serialize_abapg(built))
+        again = validate_abapg(
+            validate_framework(program.raw), program.goals, program.priorities
+        )
+        assert again == built

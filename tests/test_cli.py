@@ -458,6 +458,78 @@ def test_shape_errors_print_one_short_line(tmp_path, capsys):
     assert err.endswith("... is not of type 'array'\n")
 
 
+LONG = "x" * 20000
+
+
+def _long_endpoint(data):
+    data["interactions"][0]["first"] = LONG
+
+
+def _long_state_term(data):
+    data["context"]["patient_state"][0] = LONG
+
+
+def _long_duplicate_name(data):
+    data["recommendations"][0]["name"] = data["recommendations"][1]["name"] = LONG
+
+
+def _long_preference_name(data):
+    data["context"]["action_preference"][0][0] = LONG
+
+
+def _long_goal_property(data):
+    data["context"]["goals"][0] = "Decrease " + LONG
+
+
+def _huge_strength(data):
+    data["recommendations"][0]["deontic_strength"] = 1e308
+
+
+@pytest.mark.parametrize(
+    "edit, exit_code",
+    [
+        (_long_endpoint, 1),
+        (_long_state_term, 1),
+        (_long_duplicate_name, 2),
+        (_long_preference_name, 1),
+        (_long_goal_property, 1),
+        (_huge_strength, 1),
+    ],
+    ids=["endpoint", "state-term", "duplicate-name", "preference-name", "goal-property",
+         "strength"],
+)
+def test_semantic_errors_print_one_short_line(tmp_path, capsys, edit, exit_code):
+    data = json.loads(Path(PATIENT_A).read_text(encoding="utf-8"))
+    edit(data)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--bundle", str(case))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300
+
+
+@pytest.mark.parametrize(
+    "program, exit_code",
+    [
+        (f"assumption({LONG}).\nrule({LONG}, []).\n", 1),
+        (f"assumption(a).\ncontrary({LONG}, c).\n", 1),
+        (f"assumption(a).\ncontrary(a, {LONG}).\ncontrary(a, c).\n", 1),
+        (f"assumption(a).\nprefer(a, {LONG}).\n", 1),
+        (f"assumption(a).\ngoal({LONG}).\n", 1),
+        (f"assumption(a {LONG}).\n", 2),
+    ],
+    ids=["flatness", "contrary-target", "two-contraries", "preference", "goal", "syntax"],
+)
+def test_framework_errors_print_one_short_line(tmp_path, capsys, program, exit_code):
+    case = tmp_path / "case.aba"
+    case.write_text(program, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--aba", str(case))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 300
+
+
 def test_missing_files_exit_2(capsys):
     code, _, err = run(capsys, "solve", "--bundle", "no/such/file.json")
     assert code == 2

@@ -85,7 +85,7 @@ def test_each_subcommand_loads_only_what_it_needs(argv, expected, program):
 PUBLIC = [
     "AbaFramework", "AbapgFramework", "AmbiguousActionPreference", "ArgClinicError",
     "ConfigError", "Context", "ContraryConflict", "DanglingPreference", "DeonticStrength",
-    "DsOutOfRange", "DuplicateName", "EmptyTracks", "FlatnessViolation", "GoalWithoutRule",
+    "DsOutOfRange", "DuplicateName", "FlatnessViolation", "GoalWithoutRule",
     "IncompatibleContext", "IncompatibleGoal", "IncompatibleState", "InvalidInteraction",
     "FollowItem", "FollowPlan", "GoalExtension", "GoalRanking", "GoalTerm",
     "GuidelineBundle", "Interaction", "MappingReport", "Modal", "OracleSizeExceeded",
