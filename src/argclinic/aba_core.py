@@ -64,15 +64,6 @@ class Rule(Record):
     head: Sentence
     body: frozenset[Sentence]
 
-    # Spelled out instead of the generic Record methods: one rule is built
-    # and hashed per input rule, and this keeps that at a dataclass's cost.
-    def __init__(self, head: Sentence, body: frozenset[Sentence]):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", body)
-
-    def __hash__(self):
-        return hash((self.head, self.body))
-
     @classmethod
     def of(cls, head: str | Sentence, body: Iterable[str | Sentence] = ()) -> "Rule":
         return cls(Sentence(head), frozenset(map(Sentence, _body(body))))
@@ -207,7 +198,7 @@ class AbaFramework(Record):
         members = frozenset(A)
         stray = members - self.assumptions
         if stray:
-            names = ", ".join(sorted(map(str, stray)))
+            names = _cut(", ".join(sorted(map(str, stray))))
             raise ValueError(f"not assumptions of this framework: {names}")
         return members
 

@@ -143,18 +143,33 @@ def _compare(test):
     return method
 
 
+def _init(cls, fields: tuple[str, ...]):
+    """A real ``__init__(self, f1, f2=default, ...)`` over ``fields``, made as a
+    frozen dataclass's is: it sets each field, then calls any ``__post_init__``."""
+    space = {"__name__": cls.__module__, "__record_setattr__": object.__setattr__}
+    space.update((f"__record_default_{f}__", getattr(cls, f)) for f in fields if hasattr(cls, f))
+    params = [f"{f}=__record_default_{f}__" if hasattr(cls, f) else f for f in fields]
+    lines = [f"__record_setattr__(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(lines), space)
+    space["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return space["__init__"]
+
+
 class Record:
     """Base of the frozen value types; the fields are the class annotations.
 
     A subclass's fields are its annotated names, those of its bases first,
     and a class attribute of the same name is a field's default.  A record
-    gets what ``@dataclass(frozen=True)`` gives, without generating code: an
-    ``__init__`` over the fields that then calls any ``__post_init__``,
-    equality only with its own class, a hash and a ``Cls(field=value, ...)``
-    repr over the fields, and ``AttributeError`` on assignment or deletion.
-    ``class C(Record, order=True)`` adds ``<``, ``<=``, ``>`` and ``>=`` on
-    the field tuples.  Pickle, ``copy`` and ``cached_property`` fill the
-    instance ``__dict__`` directly, so they work as on any object.
+    gets what ``@dataclass(frozen=True)`` gives: a generated ``__init__`` over
+    the fields that then calls any ``__post_init__``, so a bad call raises the
+    dataclass's ``TypeError``, equality only with its own class, a hash and a
+    ``Cls(field=value, ...)`` repr over the fields, and ``AttributeError`` on
+    assignment or deletion.  ``class C(Record, order=True)`` adds ``<``,
+    ``<=``, ``>`` and ``>=`` on the field tuples.  Pickle, ``copy`` and
+    ``cached_property`` fill the instance ``__dict__`` directly, so they work
+    as on any object.
     """
 
     def __init_subclass__(cls, order: bool = False, **kwargs):
@@ -163,46 +178,15 @@ class Record:
         for base in reversed(cls.__mro__):
             names.update(dict.fromkeys(vars(base).get("__annotations__", ())))
         cls._fields = fields = tuple(names)
-        cls._names = frozenset(fields)
-        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
         get = operator.attrgetter(*fields)
         # the field tuple, a 1-tuple included, so hashes match a dataclass's
         cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
-        cls._post_init = getattr(cls, "__post_init__", None)
+        cls.__init__ = _init(cls, fields)
         if order:
             cls.__lt__ = _compare(operator.lt)
             cls.__le__ = _compare(operator.le)
             cls.__gt__ = _compare(operator.gt)
             cls.__ge__ = _compare(operator.ge)
-
-    def __init__(self, *args, **kwargs):
-        if kwargs:
-            if args or kwargs.keys() != self._names:
-                kwargs = self._bind(args, kwargs)
-            vars(self).update(kwargs)
-        elif len(args) == len(self._fields):
-            vars(self).update(zip(self._fields, args))
-        else:
-            vars(self).update(self._bind(args, kwargs))
-        if self._post_init is not None:
-            self._post_init()
-
-    def _bind(self, args: tuple, kwargs: dict) -> dict:
-        """The field values of a call that leaves out defaults, or a ``TypeError``."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional arguments "
-                            f"but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in self._names or key in values:
-                problem = "multiple values for" if key in values else "an unexpected keyword"
-                raise TypeError(f"{name}() got {problem} argument {key!r}")
-            values[key] = value
-        missing = [f for f in fields if f not in values and f not in self._defaults]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return {f: values[f] if f in values else self._defaults[f] for f in fields}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen record")

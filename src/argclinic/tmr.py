@@ -172,6 +172,8 @@ class StateTerm(Record):
     value: str | None = None
 
     def __lt__(self, other: "StateTerm") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return (self.property, self.value is not None, self.value or "") < (
             other.property, other.value is not None, other.value or ""
         )

@@ -261,6 +261,15 @@ def test_check_assumption_set_names_a_member_that_is_not_a_string():
         conclusions(framework, [5])
 
 
+def test_check_assumption_set_cuts_a_long_list_of_stray_names():
+    framework = fw(assumptions=["a"])
+    with pytest.raises(ValueError) as caught:
+        attacks(framework, ["x" * 20000], [])
+    message = str(caught.value)
+    assert message.startswith("not assumptions of this framework: xxx")
+    assert message.endswith("...") and len(message) < 300
+
+
 # --- preference preorder ------------------------------------------------------
 
 

@@ -3,14 +3,15 @@
 Each record class is checked against a literal ``@dataclass`` copy of its
 old definition, on instances taken from a full run over the paper's case:
 repr, equality within and across classes, hash, ordering, frozen fields,
-defaults, pickle and deepcopy round trips, bad calls, and the typed errors
-of ``__post_init__``.
+defaults, signatures, pickle and deepcopy round trips, bad calls and their
+messages, and the typed errors of ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -353,6 +354,18 @@ def test_ordering_matches_the_dataclass(cls):
     assert [repr(r) for r in sorted(records)] == [repr(t) for t in sorted(twins)]
 
 
+@pytest.mark.parametrize("other", [3, "a", None, SAMPLES[tmr.GoalTerm][0]], ids=repr)
+def test_a_state_term_does_not_order_against_a_foreign_value(other):
+    term = SAMPLES[tmr.StateTerm][0]
+    for compare in (
+        lambda: term < other, lambda: term <= other,
+        lambda: term > other, lambda: term >= other,
+        lambda: other < term, lambda: sorted([term, other]),
+    ):
+        with pytest.raises(TypeError):
+            compare()
+
+
 def test_unordered_records_do_not_compare():
     rule = SAMPLES[aba_core.Rule][0]
     with pytest.raises(TypeError):
@@ -444,6 +457,44 @@ def test_bad_calls_raise_type_error_as_for_the_dataclass(call):
         call(Rule)
     with pytest.raises(TypeError):
         call(aba_core.Rule)
+
+
+@pytest.mark.parametrize("cls", COPIES, ids=lambda cls: cls.__name__)
+def test_signature_matches_the_dataclass(cls):
+    ours = inspect.signature(cls).parameters.values()
+    theirs = inspect.signature(COPIES[cls]).parameters.values()
+    assert [(p.name, p.kind) for p in ours] == [(p.name, p.kind) for p in theirs]
+    for mine, copied in zip(ours, theirs):
+        if repr(copied.default) != "<factory>":  # GuidelineBundle.metadata's default_factory
+            assert mine.default == copied.default, mine.name
+
+
+def type_error_message(call):
+    """The message of the ``TypeError`` that ``call`` raises, or ``None``."""
+    try:
+        call()
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cls, fields: cls(),
+        lambda cls, fields: cls(*fields.values(), None),
+        lambda cls, fields: cls(*fields.values(), **dict(list(fields.items())[:1])),
+        lambda cls, fields: cls(*fields.values(), not_a_field=1),
+    ],
+    ids=["missing", "extra-positional", "twice", "unknown-keyword"],
+)
+@pytest.mark.parametrize("cls", COPIES, ids=lambda cls: cls.__name__)
+def test_bad_calls_give_the_dataclass_message(cls, call):
+    fields = {name: getattr(SAMPLES[cls][0], name) for name in names(cls)}
+    ours = type_error_message(lambda: call(cls, fields))
+    assert ours == type_error_message(lambda: call(COPIES[cls], fields))
+    if ours is None:  # every field has a default, so nothing was missing
+        assert all(p.default is not p.empty for p in inspect.signature(cls).parameters.values())
 
 
 def test_keywords_and_positions_mix_as_for_the_dataclass():
