@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
@@ -321,12 +320,11 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
                 raise DanglingPreference(
                     f"preference mentions {_cut(repr(s.symbol))}, which is not an assumption"
                 )
-    preference = Preorder.over(assumptions, preference_pairs)
     return AbaFramework(
         rules=rules,
         assumptions=assumptions,
         contrary_items=tuple(sorted(contrary.items())),
-        preference=preference,
+        preference=Preorder(assumptions, transitive_closure(preference_pairs, assumptions)),
     )
 
 
@@ -375,46 +373,77 @@ def compute_supports(framework: AbaFramework) -> SupportTable:
 
     Least fixpoint: an assumption supports itself, a fact has the empty
     support, and a rule contributes every pointwise union of supports of its
-    body sentences.  Terminates because each family is a set of subsets of a
-    finite assumption set.
+    body sentences.  The rules run in dependency order (Kahn's topological
+    sort): a rule is ready once every rule heading one of its body sentences
+    has run, so each rule off a cycle runs exactly once, on final families.
+    The rules left over lie on a rule cycle or downstream of one; they run in
+    whole passes among themselves until a pass changes nothing, which ends
+    because each family is a set of subsets of a finite assumption set.
     """
     order = framework.assumption_order
-    position = {s: i for i, s in enumerate(order)}
-    families: dict[Sentence, set[int]] = {
-        a: {1 << position[a]} for a in order
-    }
-    rules = sorted(framework.rules, key=Rule.sort_key)
+    families: dict[Sentence, set[int]] = {a: {1 << i} for i, a in enumerate(order)}
+    rules = tuple(framework.rules)
+    # producers[h]: the rules with head h that have not run yet
+    producers: dict[Sentence, int] = {}
+    for rule in rules:
+        producers[rule.head] = producers.get(rule.head, 0) + 1
+    # waiting[k]: the body sentences of rules[k] with a producer yet to run;
+    # users[s]: the indices of the rules with s in their body
+    waiting = [0] * len(rules)
+    users: dict[Sentence, list[int]] = {}
+    ready: list[int] = []
+    for k, rule in enumerate(rules):
+        for b in rule.body:
+            if b in producers:
+                waiting[k] += 1
+                users.setdefault(b, []).append(k)
+        if not waiting[k]:
+            ready.append(k)
+    while ready:
+        rule = rules[ready.pop()]
+        head = rule.head
+        masks = _fold(rule.body, families)
+        if masks:
+            families.setdefault(head, set()).update(masks)
+        producers[head] -= 1
+        if not producers[head]:
+            for k in users.get(head, ()):
+                waiting[k] -= 1
+                if not waiting[k]:
+                    ready.append(k)
+    cyclic = [rule for rule, pending in zip(rules, waiting) if pending]
     changed = True
-    while changed:
+    while changed and cyclic:
         changed = False
-        for rule in rules:
-            if rule.body:
-                pools = []
-                missing = False
-                for b in sorted(rule.body):
-                    family = families.get(b)
-                    if not family:
-                        missing = True
-                        break
-                    pools.append(sorted(family))
-                if missing:
-                    continue
-                new_masks = set()
-                for combo in product(*pools):
-                    mask = 0
-                    for m in combo:
-                        mask |= m
-                    new_masks.add(mask)
-            else:
-                new_masks = {0}
-            target = families.setdefault(rule.head, set())
-            if not new_masks <= target:
-                target.update(new_masks)
-                changed = True
+        for rule in cyclic:
+            masks = _fold(rule.body, families)
+            if masks:
+                target = families.setdefault(rule.head, set())
+                if not masks <= target:
+                    target.update(masks)
+                    changed = True
     return SupportTable(
         order=order,
         mask_families={s: frozenset(m) for s, m in families.items()},
     )
+
+
+_FACT = frozenset({0})
+
+
+def _fold(
+    body: frozenset[Sentence], families: Mapping[Sentence, set[int]]
+) -> set[int] | frozenset[int] | None:
+    """Every union of one support per member of ``body``, or ``None`` when some
+    member has none; a fact's body gives the empty support alone.  For a
+    one-member body this is that member's own family, to read, not change."""
+    masks = _FACT
+    for b in body:
+        family = families.get(b)
+        if not family:
+            return None
+        masks = family if masks is _FACT else {m | f for m in masks for f in family}
+    return masks
 
 
 def conclusions(framework: AbaFramework, A: Iterable[Sentence]) -> frozenset[Sentence]:
@@ -437,6 +466,13 @@ class _AttackTables(Record):
     table: SupportTable
     normal: tuple[tuple[int, ...], ...]
     reverse: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        # reverse_pairs: (member bit, support) for every reverse support of
+        # every member; _counters: the memo of :meth:`uncountered`
+        pairs = tuple((1 << i, s) for i, masks in enumerate(self.reverse) for s in masks)
+        object.__setattr__(self, "reverse_pairs", pairs)
+        object.__setattr__(self, "_counters", {})
 
     def attacks(self, attacker: int, target: int) -> bool:
         rest = target
@@ -501,14 +537,6 @@ class _AttackTables(Record):
             covered |= part
         return tuple(parts)
 
-    @cached_property
-    def reverse_pairs(self) -> tuple[tuple[int, int], ...]:
-        """``(member bit, support)`` for every reverse support of every member."""
-        return tuple((1 << i, s) for i, masks in enumerate(self.reverse) for s in masks)
-
-    @cached_property
-    def _counters(self) -> dict[int, tuple[int, list[int]]]:
-        return {}
 
     def canonical_attacker_masks(self, target: int) -> list[int]:
         """:func:`canonical_attackers` of ``target`` as masks, with repeats."""

@@ -20,6 +20,7 @@ from .aba_core import (
     compute_supports,
     extension_sort_key,
     preferred_extensions,
+    transitive_closure,
 )
 from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal, Record, _cut
 
@@ -65,7 +66,7 @@ def validate_abapg(
                 raise PriorityMentionsNonGoal(
                     f"priority mentions {_cut(repr(s.symbol))}, which is not a declared goal"
                 )
-    priority = Preorder.over(goal_set, raw)
+    priority = Preorder(goal_set, transitive_closure(raw, goal_set))
     ordered = sorted(priority.carrier)
     for a in ordered:
         for b in ordered:

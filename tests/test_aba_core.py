@@ -33,8 +33,10 @@ from argclinic import (
     preferred_extensions,
     validate_framework,
 )
-from argclinic.aba_core import _attack_tables, transitive_closure
-from argclinic.generators import random_framework
+from argclinic.aba_core import SupportTable, _attack_tables, transitive_closure
+from argclinic.bundle import parse_bundle
+from argclinic.generators import random_bundle_data, random_framework
+from argclinic.mapper import build_patient_framework
 from argclinic.oracle import (
     ORACLE_CAP,
     brute_force_attacks,
@@ -381,6 +383,114 @@ def test_support_soundness_against_forward_chaining(seed):
     for sentence in table.sentences():
         for support in table.supports_of(sentence):
             assert sentence in conclusions(framework, support)
+
+
+def whole_pass_supports(framework: AbaFramework) -> SupportTable:
+    """A literal copy of the whole-pass support fixpoint, as a reference.
+
+    Every rule, in sorted order, contributes the product of its body
+    families, and the passes repeat until one changes nothing.
+    """
+    order = framework.assumption_order
+    position = {s: i for i, s in enumerate(order)}
+    families: dict[Sentence, set[int]] = {
+        a: {1 << position[a]} for a in order
+    }
+    rules = sorted(framework.rules, key=Rule.sort_key)
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            if rule.body:
+                pools = []
+                missing = False
+                for b in sorted(rule.body):
+                    family = families.get(b)
+                    if not family:
+                        missing = True
+                        break
+                    pools.append(sorted(family))
+                if missing:
+                    continue
+                new_masks = set()
+                for combo in product(*pools):
+                    mask = 0
+                    for m in combo:
+                        mask |= m
+                    new_masks.add(mask)
+            else:
+                new_masks = {0}
+            target = families.setdefault(rule.head, set())
+            if not new_masks <= target:
+                target.update(new_masks)
+                changed = True
+    return SupportTable(
+        order=order,
+        mask_families={s: frozenset(m) for s, m in families.items()},
+    )
+
+
+def assert_supports_match_the_whole_pass(framework: AbaFramework) -> None:
+    table = compute_supports(framework)
+    reference = whole_pass_supports(framework)
+    assert table.order == reference.order
+    assert table.mask_families == reference.mask_families
+
+
+SUPPORT_CORNERS = {
+    "self-loop": [("p", ["p", "a"]), ("p", ["b"]), ("q", ["p", "c"])],
+    "mutual recursion with an exit rule": [("p", ["q"]), ("q", ["p"]), ("p", ["a"])],
+    "downstream of a cycle": [
+        ("p", ["q", "a"]), ("q", ["p"]), ("q", ["b"]), ("r", ["p", "c"]), ("s", ["r"]),
+    ],
+    "a body atom nothing derives": [("p", ["nothing", "a"]), ("q", ["p"]), ("q", ["b"])],
+    "a fact inside a cycle": [("f", []), ("f", ["g"]), ("g", ["f", "a"]), ("h", ["g"])],
+    "a head with a rule that never fires": [
+        ("t", ["a"]), ("t", ["b", "nothing"]), ("t", ["c", "b"]), ("u", ["t", "t2"]),
+        ("t2", ["t"]),
+    ],
+    "all of the above": [
+        ("p", ["p", "a"]), ("p", ["q"]), ("q", ["p"]), ("q", ["b"]), ("r", ["q", "c"]),
+        ("s", ["nothing", "a"]), ("f", []), ("f", ["g"]), ("g", ["f", "c"]),
+        ("t", ["r", "g"]), ("t", ["s"]), ("v", ["t", "p"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("rules", SUPPORT_CORNERS.values(), ids=SUPPORT_CORNERS)
+def test_supports_match_the_whole_pass_on_corner_cases(rules):
+    framework = fw(rules, ["a", "b", "c"], [("a", "p"), ("b", "q"), ("c", "nothing")])
+    assert_supports_match_the_whole_pass(framework)
+
+
+def has_rule_cycle(framework: AbaFramework) -> bool:
+    """True when some rules use one another's heads in a ring."""
+    rules = set(framework.rules)
+    while True:
+        heads = {rule.head for rule in rules}
+        kept = {rule for rule in rules if rule.body & heads}
+        if kept == rules:
+            return bool(rules)
+        rules = kept
+
+
+def test_supports_match_the_whole_pass_on_300_draws():
+    cyclic = 0
+    for seed in range(300):
+        framework = random_framework(random.Random(seed), max_assumptions=20)
+        assert_supports_match_the_whole_pass(framework)
+        cyclic += has_rule_cycle(framework)
+    assert cyclic >= 100  # both the ordered rules and the cycles are well exercised
+
+
+def test_supports_match_the_whole_pass_on_mapped_bundles():
+    rng = random.Random(18)
+    for _ in range(100):
+        bundle = parse_bundle(random_bundle_data(rng))
+        framework, _ = build_patient_framework(
+            bundle.recommendations, bundle.interactions, bundle.context
+        )
+        assert_supports_match_the_whole_pass(framework.base)
 
 
 # --- attacks --------------------------------------------------------------------

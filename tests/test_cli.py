@@ -418,6 +418,62 @@ def test_explain_reads_textual_frameworks(tmp_path, capsys):
     )
 
 
+CYCLIC_PROGRAM = """\
+assumption(a).
+assumption(b).
+assumption(c).
+assumption(d).
+contrary(a, r).
+contrary(b, t).
+contrary(c, s).
+contrary(d, nothing).
+rule(p, [q]).
+rule(q, [p]).
+rule(p, [a]).
+rule(q, [b]).
+rule(s, [s, c]).
+rule(s, [b, s]).
+rule(s, [d]).
+rule(r, [q, d]).
+rule(r, [s]).
+rule(t, [r, c]).
+rule(u, [t, nothing]).
+prefer(d, a).
+"""
+
+
+def test_explain_prints_the_supports_of_a_cyclic_program(tmp_path):
+    # p and q derive each other, s derives itself, r and t lie downstream of
+    # both cycles, and u needs a sentence nothing derives; the supports print
+    # sorted under any hash seed
+    program = tmp_path / "cyclic.aba"
+    program.write_text(CYCLIC_PROGRAM)
+    for seed in ("0", "1", "2"):
+        done = run_fresh("-m", "argclinic.cli", "explain", "--aba", str(program),
+                         PYTHONHASHSEED=seed)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            "supports:\n"
+            "  a <- {a}\n"
+            "  b <- {b}\n"
+            "  c <- {c}\n"
+            "  d <- {d}\n"
+            "  p <- {a}, {b}\n"
+            "  q <- {a}, {b}\n"
+            "  r <- {a, d}, {b, c, d}, {b, d}, {c, d}, {d}\n"
+            "  s <- {b, c, d}, {b, d}, {c, d}, {d}\n"
+            "  t <- {a, c, d}, {b, c, d}, {c, d}\n"
+            "singleton attacks:\n"
+            "  {a} attacks {d} [reverse] via r <- {d}\n"
+            "  {d} attacks {c} [normal] via s <- {d}\n"
+            "canonical attackers:\n"
+            "  of {a}: none\n"
+            "  of {b}: {a, c, d}, {b, c, d}, {c, d}\n"
+            "  of {c}: {b, c, d}, {b, d}, {c, d}, {d}\n"
+            "  of {d}: {a}\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 
