@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     ConfigError,
     ContraryConflict,
     DanglingPreference,
     FlatnessViolation,
+    PriorityNotTotal,
     Record,
     SizeLimitExceeded,
     ValidationError,
@@ -109,6 +110,25 @@ def transitive_closure(
                 if (k, j) in closed:
                     closed.add((i, j))
     return frozenset(closed)
+
+
+def _check_total(
+    members: Iterable[_T],
+    closed: Container[tuple[_T, _T]],
+    show: Callable[[_T], str],
+) -> None:
+    """Raise PriorityNotTotal for the first incomparable pair, in sorted order.
+
+    ``closed`` is a reflexive-transitive closure over ``members``; ``show``
+    gives the text of a member in the message.
+    """
+    ordered = sorted(members)
+    for a in ordered:
+        for b in ordered:
+            if (a, b) not in closed and (b, a) not in closed:
+                raise PriorityNotTotal(
+                    f"goals {_cut(repr(show(a)))} and {_cut(repr(show(b)))} are incomparable"
+                )
 
 
 class Preorder(Record):

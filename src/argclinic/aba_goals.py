@@ -15,6 +15,7 @@ from .aba_core import (
     AbaFramework,
     Preorder,
     Sentence,
+    _check_total,
     _reject_bad_pairs,
     _reject_bad_symbols,
     compute_supports,
@@ -22,7 +23,7 @@ from .aba_core import (
     preferred_extensions,
     transitive_closure,
 )
-from .errors import GoalWithoutRule, PriorityMentionsNonGoal, PriorityNotTotal, Record, _cut
+from .errors import GoalWithoutRule, PriorityMentionsNonGoal, Record, _cut
 
 
 class AbapgFramework(Record):
@@ -67,13 +68,7 @@ def validate_abapg(
                     f"priority mentions {_cut(repr(s.symbol))}, which is not a declared goal"
                 )
     priority = Preorder(goal_set, transitive_closure(raw, goal_set))
-    ordered = sorted(priority.carrier)
-    for a in ordered:
-        for b in ordered:
-            if not priority.leq(a, b) and not priority.leq(b, a):
-                raise PriorityNotTotal(
-                    f"goals {_cut(repr(a.symbol))} and {_cut(repr(b.symbol))} are incomparable"
-                )
+    _check_total(goal_set, priority.pairs, str)
     return AbapgFramework(base=base, goals=goal_set, priority=priority)
 
 

@@ -13,7 +13,13 @@ A symbol is a maximal run of [A-Za-z0-9_.¬-] inside the parentheses, so it
 may start with '.'; symbols are case-sensitive.  Spaces and tabs are free
 within a line; '#' starts a comment.  A line ends only at '\n', '\r\n' or
 '\r'; any other line separator is comment text inside a comment and an
-unexpected character elsewhere.  Parse errors carry line and column.
+unexpected character elsewhere.
+
+One pattern accepts or rejects each line.  A rejected line is explained by
+walking its tokens along the keyword's shape in ``_SHAPES``; the ParseError
+reads ``line L, column C: expected X, found Y`` for the first token out of
+place, with C one past the last character when the line is cut short.  A
+stray character anywhere on the line is reported before any such fault.
 """
 
 from __future__ import annotations
@@ -47,14 +53,17 @@ _STATEMENT_RE = re.compile(
     r")[ \t]*\)[ \t]*\.[ \t]*)?(?:#.*)?"
 )
 
-STATEMENT_KEYWORDS = (
-    "assumption",
-    "contrary",
-    "rule",
-    "prefer",
-    "goal",
-    "priority",
-)
+# The statement shapes, in the keyword order that errors list.  In a shape,
+# 's' is a symbol, 'b' the symbols of a rule body split by ',' (maybe none),
+# and any other character is that punctuation.
+_SHAPES = {
+    "assumption": "(s).",
+    "contrary": "(s,s).",
+    "rule": "(s,[b]).",
+    "prefer": "(s,s).",
+    "goal": "(s).",
+    "priority": "(s,s).",
+}
 
 
 class ParsedProgram(Record):
@@ -69,9 +78,14 @@ class ParsedProgram(Record):
         return bool(self.goals) or bool(self.priorities)
 
 
-def _tokenize_line(line: str, line_no: int) -> list[tuple[str, int]]:
-    """The ``(text, column)`` tokens of one line, up to any comment."""
-    tokens = []
+def _explain(line: str, line_no: int) -> NoReturn:
+    """Raise the ParseError of a line the statement pattern rejected.
+
+    The whole line is tokenized before the walk, so a stray character is
+    reported first.  The end of the line is one more token, ``None``, one
+    column past the last character.
+    """
+    tokens: list[tuple[str | None, int]] = []
     for match in _TOKEN_RE.finditer(line):
         kind = match.lastindex
         if kind == _TOKEN:
@@ -85,93 +99,41 @@ def _tokenize_line(line: str, line_no: int) -> list[tuple[str, int]]:
                 match.start() + 1,
                 expected="a symbol, punctuation, or '#'",
             )
-    return tokens
+    tokens.append((None, len(line) + 1))
+    at = 0
 
-
-class _LineParser:
-    def __init__(self, tokens: list[tuple[str, int]], line_no: int, line_length: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.line_length = line_length
-        self.pos = 0
-
-    def _fail(self, expected: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            text, column = self.tokens[self.pos]
-            return ParseError(
-                f"expected {expected}, found {_cut(repr(text))}",
-                self.line_no,
-                column,
-                expected=expected,
+    def take(expected: str, fits) -> str | None:
+        nonlocal at
+        text, column = tokens[at]
+        if not fits(text):
+            found = "end of line" if text is None else _cut(repr(text))
+            raise ParseError(
+                f"expected {expected}, found {found}", line_no, column, expected=expected
             )
-        return ParseError(
-            f"expected {expected}, found end of line",
-            self.line_no,
-            self.line_length + 1,
-            expected=expected,
-        )
-
-    def peek(self) -> str | None:
-        """The text of the next token, or None at the end of the line."""
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def expect(self, text: str) -> None:
-        if self.peek() != text:
-            raise self._fail(f"{text!r}")
-        self.pos += 1
-
-    def symbol(self) -> str:
-        text = self.peek()
-        if text is None or not SYMBOL_RE.fullmatch(text):
-            raise self._fail("a symbol")
-        self.pos += 1
+        at += 1
         return text
 
-    def keyword(self) -> str:
-        text = self.peek()
-        if text not in STATEMENT_KEYWORDS:
-            raise self._fail("a statement keyword " + "/".join(STATEMENT_KEYWORDS))
-        self.pos += 1
-        return text
+    def is_symbol(text: str | None) -> bool:
+        return text is not None and SYMBOL_RE.fullmatch(text) is not None
 
-    def end(self) -> None:
-        if self.pos != len(self.tokens):
-            raise self._fail("end of line")
-
-
-def _explain(line: str, line_no: int) -> NoReturn:
-    """Raise the ParseError of a line the statement pattern rejected.
-
-    The token walk stops at the first token out of place, which gives the
-    error its column and the ``expected`` text.
-    """
-    parser = _LineParser(_tokenize_line(line, line_no), line_no, len(line))
-    keyword = parser.keyword()
-    parser.expect("(")
-    parser.symbol()
-    if keyword in ("contrary", "prefer", "priority"):
-        parser.expect(",")
-        parser.symbol()
-    elif keyword == "rule":
-        parser.expect(",")
-        parser.expect("[")
-        if parser.peek() not in (None, "]"):
-            parser.symbol()
-            while parser.peek() == ",":
-                parser.expect(",")
-                parser.symbol()
-        parser.expect("]")
-    parser.expect(")")
-    parser.expect(".")
-    parser.end()
+    keyword = take("a statement keyword " + "/".join(_SHAPES), _SHAPES.__contains__)
+    for char in _SHAPES[keyword]:
+        if char == "s":
+            take("a symbol", is_symbol)
+        elif char != "b":
+            take(repr(char), lambda text: text == char)
+        elif tokens[at][0] not in (None, "]"):
+            take("a symbol", is_symbol)
+            while tokens[at][0] == ",":
+                at += 1
+                take("a symbol", is_symbol)
+    take("end of line", lambda text: text is None)
     raise AssertionError(f"line {line_no}: the token walk accepts what the pattern rejects")
 
 
 def parse_aba_text(text: str) -> ParsedProgram:
     """Parse a textual framework into raw statements (unvalidated)."""
-    statements: dict[str, list] = {keyword: [] for keyword in STATEMENT_KEYWORDS}
+    statements: dict[str, list] = {keyword: [] for keyword in _SHAPES}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in enumerate(lines, start=1):
         match = _STATEMENT_RE.fullmatch(line)

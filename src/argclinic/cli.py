@@ -5,7 +5,8 @@ textual framework), check (validate only), explain (supports and attacks),
 oracle (differential fuzzing against the brute-force reference).
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 size limit
-exceeded, 4 oracle disagreement.
+exceeded, 4 oracle disagreement, 141 (128 + SIGPIPE) when the reader closes
+stdout before the output is written.
 
 Each subcommand imports what its input needs: the core, goal and error
 modules always, the textual format for ``--aba``, the bundle reader, the
@@ -16,6 +17,7 @@ brute-force reference only under ``oracle``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -54,6 +56,7 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _read(path: str) -> str:
@@ -385,7 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; send the unflushed rest to devnull so the flush
+        # at shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ParseError, SchemaError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

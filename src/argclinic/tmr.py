@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .aba_core import transitive_closure
+from .aba_core import _check_total, transitive_closure
 from .errors import (
     AmbiguousActionPreference,
     DsOutOfRange,
@@ -26,7 +26,6 @@ from .errors import (
     IncompatibleState,
     InvalidInteraction,
     PreferenceOverUnknownRec,
-    PriorityNotTotal,
     Record,
     UnknownLandmark,
     ValidationError,
@@ -293,15 +292,8 @@ def validate_context(
                     "which is not a declared goal"
                 )
         priority_pairs.add((low, high))
-    ordered_goals = sorted(goal_terms)
-    closed_priority = transitive_closure(priority_pairs, ordered_goals)
-    for a in ordered_goals:
-        for b in ordered_goals:
-            if (a, b) not in closed_priority and (b, a) not in closed_priority:
-                raise PriorityNotTotal(
-                    f"goals {_cut(repr(a.display()))} and {_cut(repr(b.display()))} "
-                    "are incomparable"
-                )
+    closed_priority = transitive_closure(priority_pairs, goal_terms)
+    _check_total(goal_terms, closed_priority, GoalTerm.display)
 
     return Context(
         patient_state=states,

@@ -224,6 +224,48 @@ def test_the_pattern_accepts_what_the_walk_accepts_and_rejects_with_its_error(li
 
 
 # ---------------------------------------------------------------------------
+# every step of every statement shape: each token prefix of one valid line per
+# keyword, and the line with each token in turn replaced by a wrong one
+
+VALID_LINES = [
+    "assumption(a).",
+    " contrary(a,\tc_a) .",
+    "rule(h, [b1 ,b2]).",
+    "prefer( a, b ).",
+    "\tgoal(¬g).",
+    "priority(g1, g2).  ",
+]
+
+
+def wrong_tokens(token, first):
+    """Punctuation and symbols that cannot stand where ``token`` stands."""
+    if token in PUNCTUATION:
+        return [t for t in PUNCTUATION + ["x"] if t != token]
+    if first:
+        return PUNCTUATION + ["x"]
+    return [t for t in PUNCTUATION if t != "."]  # a lone '.' is a symbol too
+
+
+def shape_steps():
+    for line in VALID_LINES:
+        keyword = line.split("(")[0].strip()
+        spans = [m.span() for m in _TOKEN_RE.finditer(line) if m.lastindex == _TOKEN]
+        for k, (_, end) in enumerate(spans[:-1], start=1):
+            yield pytest.param(line[:end], id=f"{keyword}-prefix-{k}")
+        for k, (start, end) in enumerate(spans):
+            for wrong in wrong_tokens(line[start:end], k == 0):
+                edited = f"{line[:start]} {wrong} {line[end:]}"
+                yield pytest.param(edited, id=f"{keyword}-token-{k}-{wrong}")
+
+
+@pytest.mark.parametrize("line", shape_steps())
+def test_each_step_of_each_shape_rejects_with_the_walks_error(line):
+    expected = outcome(reference_parse, line)
+    assert isinstance(expected, tuple)
+    assert outcome(parse_aba_text, line) == expected
+
+
+# ---------------------------------------------------------------------------
 # long lines parse or fail in linear time
 
 LONG = 10**5

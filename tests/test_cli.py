@@ -705,6 +705,26 @@ def run_fresh(*args, **env):
     )
 
 
+@pytest.mark.parametrize("command", ["solve", "map"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(command):
+    # The read end is closed before the child starts, so every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(argclinic.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "argclinic.cli", command, "--bundle",
+             str(FIXTURES / "patient_a.json")],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_solve_and_explain_output_ignores_the_hash_seed(tmp_path):
     paths = sorted(str(p) for p in FIXTURES.glob("*.json"))
     rng = random.Random(41)
