@@ -4,10 +4,13 @@ Frameworks come out small enough for the brute-force oracle but are built to
 exercise the awkward corners: rule cycles, sentences with several distinct
 supports (including non-minimal ones), assumptions whose contrary nobody can
 derive, and preference pairs dense enough to trigger reverse attacks.
+Random guideline bundles are written by ``bundle.serialize_bundle``, the
+format's one writer.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
@@ -160,19 +163,14 @@ def random_tmr_instance(
         for rec in recommendations:
             for track in rec.tracks:
                 goal_candidates.add((track.effect, track.property))
-                if track.initial_value is None:
-                    state_candidates.append({"property": track.property})
-                else:
-                    state_candidates.append(
-                        {"property": track.property, "value": track.initial_value}
-                    )
+                state_candidates.append(StateTerm(track.property, track.initial_value))
         rng.shuffle(state_candidates)
         seen_props = set()
         patient_state = []
         for term in state_candidates[: rng.randint(0, 3)]:
-            if term["property"] in seen_props:
+            if term.property in seen_props:
                 continue
-            seen_props.add(term["property"])
+            seen_props.add(term.property)
             patient_state.append(term)
 
         goal_pool = sorted(goal_candidates)
@@ -206,10 +204,7 @@ def random_tmr_instance(
 
         context = validate_context(
             recommendations,
-            patient_state=[
-                StateTerm(property=t["property"], value=t.get("value"))
-                for t in patient_state
-            ],
+            patient_state=patient_state,
             goals=goals,
             action_preference=action_preference,
             goal_priority=goal_priority,
@@ -224,62 +219,10 @@ def random_tmr_instance(
 
 
 def random_bundle_data(rng: random.Random) -> dict:
-    """A random bundle as a plain JSON-compatible dictionary."""
+    """A random bundle as a JSON-compatible dictionary, written by ``serialize_bundle``."""
+    from .bundle import GuidelineBundle, serialize_bundle
+
     recommendations, interactions, context = random_tmr_instance(rng)
-    payload: dict = {
-        "metadata": {"name": f"fuzz-{rng.randrange(10 ** 6)}", "version": "1"},
-        "recommendations": [
-            {
-                "name": rec.name,
-                "action": rec.action,
-                "deontic_strength": (
-                    rec.strength.landmark
-                    if rec.strength.landmark is not None
-                    else float(rec.strength.value)
-                ),
-                "tracks": [
-                    {
-                        "property": t.property,
-                        "effect": t.effect,
-                        "initial_value": t.initial_value,
-                        "contribution": t.contribution,
-                    }
-                    for t in rec.tracks
-                ],
-            }
-            for rec in recommendations
-        ],
-    }
-    if interactions:
-        payload["interactions"] = [
-            {"first": i.first, "second": i.second, "modal": i.modal.value}
-            for i in interactions
-        ]
-    context_payload: dict = {}
-    if context.patient_state:
-        context_payload["patient_state"] = [
-            {"property": s.property, "value": s.value}
-            if s.value is not None
-            else s.property
-            for s in sorted(context.patient_state)
-        ]
-    if context.goals:
-        context_payload["goals"] = [
-            {"effect": g.effect, "property": g.property, "negated": g.negated}
-            for g in sorted(context.goals)
-        ]
-    preference = sorted(set(p for p in context.action_preference if p[0] != p[1]))
-    if preference:
-        context_payload["action_preference"] = [list(p) for p in preference]
-    priority = sorted(set(p for p in context.goal_priority if p[0] != p[1]))
-    if priority:
-        context_payload["goal_priority"] = [
-            [
-                {"effect": a.effect, "property": a.property, "negated": a.negated},
-                {"effect": b.effect, "property": b.property, "negated": b.negated},
-            ]
-            for a, b in priority
-        ]
-    if context_payload:
-        payload["context"] = context_payload
-    return payload
+    metadata = {"name": f"fuzz-{rng.randrange(10 ** 6)}", "version": "1"}
+    bundle = GuidelineBundle(tuple(recommendations), tuple(interactions), context, metadata)
+    return json.loads(serialize_bundle(bundle))

@@ -28,7 +28,15 @@ from typing import Mapping, Sequence
 from .aba_core import RawFramework, mint_contraries, validate_framework
 from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
 from .errors import Record, SymbolCollision, _cut
-from .tmr import Context, GoalTerm, Interaction, Modal, Recommendation, validate_context
+from .tmr import (
+    Context,
+    GoalTerm,
+    Interaction,
+    Modal,
+    Recommendation,
+    validate_context,
+    validate_interaction,
+)
 
 
 def symbolize(text: str) -> str:
@@ -108,10 +116,19 @@ def build_patient_framework(
 ) -> tuple[AbapgFramework, MappingReport]:
     """Map guideline recommendations and a patient context to a framework.
 
-    Context compatibility is re-checked here, so state or goal terms that
-    match no causation track are rejected rather than silently producing an
-    unreachable sentence.
+    Names, interactions and context compatibility are re-checked here.  A
+    repeated name would merge two recommendations into one assumption, and
+    state or goal terms that match no causation track would silently produce
+    an unreachable sentence, so both are rejected.
     """
+    by_name: dict[str, Recommendation] = {}
+    for rec in recommendations:
+        if rec.name in by_name:
+            raise SymbolCollision(f"two recommendations are named {_cut(repr(rec.name))}")
+        by_name[rec.name] = rec
+    interactions = [
+        validate_interaction(i.first, i.second, i.modal, by_name) for i in interactions
+    ]
     context = validate_context(
         recommendations,
         patient_state=context.patient_state,
@@ -119,7 +136,6 @@ def build_patient_framework(
         action_preference=context.action_preference,
         goal_priority=context.goal_priority,
     )
-    by_name = {r.name: r for r in recommendations}
     table = _SymbolTable()
     families: dict[str, set[tuple[str, tuple[str, ...]]]] = {
         name: set() for name in _RULE_FAMILIES

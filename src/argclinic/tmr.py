@@ -142,13 +142,12 @@ def validate_interaction(
             raise InvalidInteraction(
                 f"interaction endpoint {_cut(repr(endpoint))} names no known recommendation"
             )
-    if isinstance(modal, str):
-        try:
-            modal = Modal(modal)
-        except ValueError:
-            raise InvalidInteraction(
-                f"interaction modality must be 'certain' or 'uncertain', got {_cut(repr(modal))}"
-            ) from None
+    try:
+        modal = Modal(modal)
+    except ValueError:
+        raise InvalidInteraction(
+            f"interaction modality must be 'certain' or 'uncertain', got {_cut(repr(modal))}"
+        ) from None
     return Interaction(first=first, second=second, modal=modal)
 
 

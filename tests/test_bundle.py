@@ -123,6 +123,23 @@ def test_goal_strings_accept_both_negation_spellings():
     )
 
 
+def test_goal_and_state_terms_read_the_same_in_string_and_object_form():
+    # random bundles write only objects, and "negated" only when it is true
+    data = minimal(
+        context={
+            "goals": [
+                "Decrease Pain",
+                {"effect": "Decrease", "property": "Pain"},
+                {"effect": "Decrease", "property": "Pain", "negated": False},
+            ],
+            "patient_state": ["Pain", {"property": "Pain"}],
+        }
+    )
+    context = parse_bundle(data).context
+    assert context.goals == frozenset({GoalTerm(effect="Decrease", property="Pain")})
+    assert context.patient_state == frozenset({StateTerm(property="Pain")})
+
+
 def test_goal_strings_need_an_effect_and_a_property():
     data = minimal(context={"goals": ["Pain"]})
     with pytest.raises(SchemaError) as err:

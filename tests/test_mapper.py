@@ -11,6 +11,7 @@ from argclinic import (
     DeonticStrength,
     GoalTerm,
     Interaction,
+    InvalidInteraction,
     Modal,
     Recommendation,
     Sentence,
@@ -23,6 +24,7 @@ from argclinic import (
     resolve,
     symbolize,
 )
+from argclinic import mapper
 from argclinic.generators import random_tmr_instance
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -268,6 +270,31 @@ def test_rec_names_may_not_collide_with_action_symbols():
         build_patient_framework(clashing, [], ctx())
 
 
+ANOTHER_R1 = rec("r1", "swim", "should", [("Pain", "Decrease", None, "+")])
+
+
+@pytest.mark.parametrize(
+    "recommendations, interactions, error, message",
+    [
+        (PAIR + [ANOTHER_R1], [], SymbolCollision, "two recommendations are named 'r1'"),
+        (PAIR, [Interaction("r1", "rX", Modal.CERTAIN)], InvalidInteraction,
+         "endpoint 'rX' names no known recommendation"),
+        (PAIR, [Interaction("r1", "r1", Modal.UNCERTAIN)], InvalidInteraction,
+         "'r1' cannot interact with itself"),
+        (PAIR, [Interaction("r1", "r2", "maybe")], InvalidInteraction,
+         "modality must be 'certain' or 'uncertain', got 'maybe'"),
+        (PAIR, [Interaction("r1", "r2", None)], InvalidInteraction,
+         "modality must be 'certain' or 'uncertain', got None"),
+    ],
+    ids=["repeated-name", "unknown-endpoint", "self-interaction", "bad-modal", "no-modal"],
+)
+def test_records_built_by_hand_are_checked_like_a_bundle(
+    recommendations, interactions, error, message
+):
+    with pytest.raises(error, match=message):
+        resolve(recommendations, interactions, ctx())
+
+
 def collision_message(recommendations, context) -> str:
     with pytest.raises(SymbolCollision) as caught:
         build_patient_framework(recommendations, [], context)
@@ -367,6 +394,38 @@ def test_mapped_frameworks_have_weak_contraposition_rules(seed):
                     for other in base.rules
                 ), f"no contrapositive of {rule} for {low}"
     assert checked and symmetric
+
+
+def _every_contrapositive(contradiction_rules, preference, contraries):
+    """``mapper._contrapositives`` without its subsumption filter."""
+    target_of = {symbol: asm for asm, symbol in contraries.items()}
+    candidates = set()
+    for head, body in contradiction_rules:
+        target = target_of[head]
+        for low in body:
+            if (low, target) in preference and (target, low) not in preference:
+                rest = (set(body) - {low}) | {target}
+                candidates.add((contraries[low], tuple(sorted(rest))))
+    return candidates
+
+
+def test_dropping_subsumed_contrapositives_changes_no_answer(monkeypatch):
+    family = "contradiction_rules_contrapositive"
+    rng = random.Random(7100)
+    dropped = 0
+    for _ in range(2000):
+        instance = random_tmr_instance(rng, max_recommendations=8, max_interactions=6)
+        kept = resolve(*instance)
+        monkeypatch.setattr(mapper, "_contrapositives", _every_contrapositive)
+        every = resolve(*instance)
+        monkeypatch.undo()
+        assert (kept.preferred, kept.goal_extensions, kept.top_goal_extensions) == (
+            every.preferred,
+            every.goal_extensions,
+            every.top_goal_extensions,
+        ), instance
+        dropped += kept.report.rule_counts[family] < every.report.rule_counts[family]
+    assert dropped
 
 
 # ---------------------------------------------------------------------------
