@@ -133,8 +133,10 @@ def maximal_goal_extensions(
     """The goal extensions no other one strictly dominates.
 
     Maximality is decided by pairwise checks of the strict part of the
-    ordering; the ordering itself need not be transitive on arbitrary
-    families, so no sorting shortcut is taken.
+    ordering.  The ordering itself is not transitive across priority ties
+    (``test_ordering_is_not_transitive_across_ties``), but its strict part
+    is, under the total priority that ``validate_abapg`` enforces
+    (``test_strict_dominance_is_transitive_under_a_total_priority``).
     """
     top = [
         g

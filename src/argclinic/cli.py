@@ -33,7 +33,6 @@ from .aba_core import (
 )
 from .aba_goals import (
     AbapgFramework,
-    GoalExtension,
     GoalRanking,
     rank_goals,
     validate_abapg,
@@ -81,91 +80,69 @@ def _extension_text(extension) -> str:
     return _braced(extension_sort_key(extension))
 
 
-def _goal_extension_text(goal_extension: GoalExtension) -> str:
-    achieved = _braced(sorted(s.symbol for s in goal_extension.achieved))
-    sources = " | ".join(_extension_text(src) for src in goal_extension.sources)
-    return f"{achieved}  <-  {sources}"
+def _solution_payload(result: GoalRanking, goals: bool, solution: Solution | None) -> dict:
+    """``solve``'s report: what ``--format json`` writes and the text prints.
+
+    The goal keys appear when ``goals`` is set; the recommendation sets,
+    plans and warnings appear when a bundle's ``solution`` is given.
+    """
+    payload: dict = {"preferred_extensions": [sorted(e) for e in result.preferred]}
+    if goals:
+        for key in ("goal_extensions", "top_goal_extensions"):
+            payload[key] = [
+                {"achieved": sorted(g.achieved), "sources": [sorted(s) for s in g.sources]}
+                for g in getattr(result, key)
+            ]
+    if solution is not None:
+        payload["recommendation_sets"] = [list(r) for r in solution.preferred_recommendations]
+        payload["follow"] = [
+            {
+                "source": list(plan.source),
+                "items": [
+                    {"recommendation": i.recommendation, "action": i.action, "avoid": i.avoid}
+                    for i in plan.items
+                ],
+            }
+            for plan in solution.follow
+        ]
+        payload["warnings"] = list(solution.report.warnings)
+    return payload
 
 
-def _goal_extension_json(goal_extension: GoalExtension) -> dict:
-    return {
-        "achieved": sorted(s.symbol for s in goal_extension.achieved),
-        "sources": [list(extension_sort_key(src)) for src in goal_extension.sources],
-    }
-
-
-def _follow_json(solution: Solution) -> list[dict]:
-    return [
-        {
-            "source": list(plan.source),
-            "items": [
-                {"recommendation": i.recommendation, "action": i.action, "avoid": i.avoid}
-                for i in plan.items
-            ],
-        }
-        for plan in solution.follow
-    ]
+def _row_text(row) -> str:
+    if isinstance(row, dict):  # a goal extension
+        return f"{_braced(row['achieved'])}  <-  " + " | ".join(map(_braced, row["sources"]))
+    return _braced(row)
 
 
 def _print_solution(
     result: GoalRanking, args, goals: bool, solution: Solution | None = None
 ) -> None:
-    """Print ``solve`` output for either input.
+    """Print ``solve`` output for either input from its one payload.
 
-    The goal sections appear when ``goals`` is set; the recommendation sets,
-    warnings and plans appear when a bundle's ``solution`` is given.
+    The text writes the payload's lists under their titles, then its
+    warnings, then one ``FOLLOW:`` line per plan.
     """
+    payload = _solution_payload(result, goals, solution)
+    out = sys.stdout
     if args.format == "json":
         import json
 
-        payload: dict = {
-            "preferred_extensions": [
-                list(extension_sort_key(e)) for e in result.preferred
-            ]
-        }
-        if goals:
-            payload["goal_extensions"] = [
-                _goal_extension_json(g) for g in result.goal_extensions
-            ]
-            payload["top_goal_extensions"] = [
-                _goal_extension_json(g) for g in result.top_goal_extensions
-            ]
-        if solution is not None:
-            payload["recommendation_sets"] = [
-                list(r) for r in solution.preferred_recommendations
-            ]
-            payload["follow"] = _follow_json(solution)
-            payload["warnings"] = list(solution.report.warnings)
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
-
-    out = sys.stdout
     if args.quiet:
-        for extension in result.preferred:
-            out.write(_extension_text(extension) + "\n")
+        out.writelines(_braced(e) + "\n" for e in payload["preferred_extensions"])
         return
-    out.write("preferred extensions:\n")
-    for extension in result.preferred:
-        out.write("  " + _extension_text(extension) + "\n")
-    if solution is not None:
-        out.write("recommendation sets:\n")
-        for names in solution.preferred_recommendations:
-            out.write("  " + _braced(names) + "\n")
-    if goals:
-        out.write("goal extensions:\n")
-        for goal_extension in result.goal_extensions:
-            out.write("  " + _goal_extension_text(goal_extension) + "\n")
-        out.write("top goal extensions:\n")
-        for goal_extension in result.top_goal_extensions:
-            out.write("  " + _goal_extension_text(goal_extension) + "\n")
-    if solution is not None:
-        for warning in solution.report.warnings:
-            out.write(f"warning: {warning}\n")
-        for plan in solution.follow:
-            if plan.items:
-                out.write("FOLLOW: " + ", ".join(i.display() for i in plan.items) + "\n")
-            else:
-                out.write("FOLLOW: (no recommendations)\n")
+    for key in (
+        "preferred_extensions", "recommendation_sets", "goal_extensions", "top_goal_extensions"
+    ):
+        if key in payload:
+            out.write(key.replace("_", " ") + ":\n")
+            out.writelines("  " + _row_text(row) + "\n" for row in payload[key])
+    out.writelines(f"warning: {w}\n" for w in payload.get("warnings", ()))
+    for plan in solution.follow if solution is not None else ():
+        shown = ", ".join(i.display() for i in plan.items)
+        out.write(f"FOLLOW: {shown or '(no recommendations)'}\n")
 
 
 def _parse_program(path: str) -> tuple[AbapgFramework, bool]:
@@ -228,25 +205,22 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    prefix, warnings = "", ()
     if args.bundle:
         bundle, goal_framework, report = _map_bundle(args.bundle)
-        base = goal_framework.base
-        sys.stdout.write(
-            f"ok: {len(bundle.recommendations)} recommendations, "
+        prefix = (
+            f"{len(bundle.recommendations)} recommendations, "
             f"{len(bundle.interactions)} interactions -> "
-            f"{len(base.assumptions)} assumptions, {len(base.rules)} rules, "
-            f"{len(goal_framework.goals)} goals\n"
         )
-        for warning in report.warnings:
-            sys.stdout.write(f"warning: {warning}\n")
-        return EXIT_OK
-
-    goal_framework, goals = _parse_program(args.aba)
+        goals, warnings = True, report.warnings
+    else:
+        goal_framework, goals = _parse_program(args.aba)
     base = goal_framework.base
-    summary = f"ok: {len(base.assumptions)} assumptions, {len(base.rules)} rules"
+    summary = f"ok: {prefix}{len(base.assumptions)} assumptions, {len(base.rules)} rules"
     if goals:
         summary += f", {len(goal_framework.goals)} goals"
     sys.stdout.write(summary + "\n")
+    sys.stdout.writelines(f"warning: {w}\n" for w in warnings)
     return EXIT_OK
 
 

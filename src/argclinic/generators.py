@@ -89,18 +89,14 @@ def random_framework(
     )
 
 
-def random_abapg(
-    rng: random.Random,
-    max_assumptions: int = 8,
-    max_goals: int = 4,
-) -> AbapgFramework:
+def random_abapg(rng: random.Random, max_assumptions: int = 8) -> AbapgFramework:
     """A random goal-aware framework with a total level-based priority."""
     while True:
         base = random_framework(rng, max_assumptions=max_assumptions)
         heads = sorted({rule.head.symbol for rule in base.rules})
         if heads:
             break
-    goals = rng.sample(heads, rng.randint(1, min(max_goals, len(heads))))
+    goals = rng.sample(heads, rng.randint(1, min(4, len(heads))))
     level = {goal: rng.randint(0, len(goals)) for goal in goals}
     priorities = [
         (low, high)
@@ -113,7 +109,6 @@ def random_abapg(
 
 def random_tmr_instance(
     rng: random.Random,
-    min_recommendations: int = 2,
     max_recommendations: int = 6,
     max_interactions: int = 5,
     total_preference: bool = False,
@@ -127,7 +122,7 @@ def random_tmr_instance(
     meaningful together with ``total_preference``).
     """
     while True:
-        count = rng.randint(min_recommendations, max_recommendations)
+        count = rng.randint(2, max_recommendations)
         names = [f"r{i + 1}" for i in range(count)]
         actions = rng.sample(_ACTIONS, count)
         recommendations = []

@@ -274,6 +274,31 @@ def test_ordering_is_not_transitive_across_ties():
     assert not goal_set_leq(sset("q", "l"), sset("q"), pri)
 
 
+def test_strict_dominance_is_transitive_under_a_total_priority():
+    # X < Y is goal_set_leq(X, Y) and not goal_set_leq(Y, X).  Unlike <=
+    # (above), its strict part chains: A < B and B < C give A < C.
+    chains = 0
+    for seed in range(300):
+        abapg = random_abapg(random.Random(seed))
+        goals = sorted(abapg.goals)
+        subsets = [
+            frozenset(g for bit, g in enumerate(goals) if mask >> bit & 1)
+            for mask in range(1 << len(goals))
+        ]
+        below = {
+            a: [b for b in subsets
+                if goal_set_leq(a, b, abapg.priority)
+                and not goal_set_leq(b, a, abapg.priority)]
+            for a in subsets
+        }
+        for a in subsets:
+            for b in below[a]:
+                for c in below[b]:
+                    assert c in below[a], (seed, a, b, c)
+                    chains += 1
+    assert chains > 10000
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_priority_is_total_and_reflexive(seed):

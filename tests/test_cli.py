@@ -13,7 +13,7 @@ import argclinic
 from argclinic import parse_aba_text, serialize_framework, validate_framework
 from argclinic.aba_text import serialize_abapg
 from argclinic.cli import main
-from argclinic.generators import random_abapg
+from argclinic.generators import random_abapg, random_bundle_data
 from argclinic.mapper import build_patient_framework
 
 from conftest import FIXTURES, attacked_pairs
@@ -132,6 +132,71 @@ def test_solve_without_goals_skips_goal_sections(tmp_path, capsys):
     assert code == 0
     assert out == "preferred extensions:\n  {a}\n"
     assert "goal extensions" not in out
+
+
+def read_braced(text: str) -> list[str]:
+    assert text.startswith("{") and text.endswith("}"), text
+    return text[1:-1].split(", ") if text != "{}" else []
+
+
+def read_text_report(text: str) -> dict:
+    """``solve``'s text read back into the JSON payload's shape; the plans
+    stay as the text of their ``FOLLOW:`` lines."""
+    report: dict = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            achieved, arrow, sources = line[2:].partition("  <-  ")
+            rows.append(
+                {"achieved": read_braced(achieved),
+                 "sources": [read_braced(s) for s in sources.split(" | ")]}
+                if arrow else read_braced(achieved)
+            )
+        elif line.startswith(("warning: ", "FOLLOW: ")):
+            key, _, rest = line.partition(": ")
+            report.setdefault({"warning": "warnings", "FOLLOW": "follow"}[key], []).append(rest)
+        else:
+            assert line.endswith(":") and "warnings" not in report, line
+            rows = report[line[:-1].replace(" ", "_")] = []
+    return report
+
+
+def follow_line(plan: dict) -> str:
+    shown = ", ".join(
+        f"{i['recommendation']} ({'avoid ' if i['avoid'] else ''}{i['action']})"
+        for i in plan["items"]
+    )
+    return shown or "(no recommendations)"
+
+
+def test_solve_text_and_json_agree_on_random_inputs(tmp_path, capsys):
+    rng = random.Random(21)
+    inputs = []
+    for index in range(50):
+        bundle = tmp_path / f"bundle_{index}.json"
+        bundle.write_text(json.dumps(random_bundle_data(rng)))
+        inputs.append(("--bundle", str(bundle)))
+    for index in range(50):
+        program = tmp_path / f"program_{index}.aba"
+        program.write_text(serialize_abapg(random_abapg(rng)))
+        inputs.append(("--aba", str(program)))
+    titles = ["preferred_extensions", "recommendation_sets", "goal_extensions",
+              "top_goal_extensions"]
+    for flag, path in inputs:
+        code, out, err = run(capsys, "solve", "--format", "json", flag, path)
+        assert (code, err) == (0, ""), path
+        payload = json.loads(out)
+        code, out, err = run(capsys, "solve", flag, path)
+        assert (code, err) == (0, ""), path
+        report = read_text_report(out)
+        shown = [t for t in titles if t in payload]
+        shown += [k for k in ("warnings", "follow") if payload.get(k)]
+        assert list(report) == shown
+        for title in titles:
+            assert report.get(title) == payload.get(title), (path, title)
+        assert report.get("warnings", []) == payload.get("warnings", []), path
+        assert report.get("follow", []) == [follow_line(p) for p in payload.get("follow", [])]
+        code, out, _ = run(capsys, "solve", "--quiet", flag, path)
+        assert [read_braced(line) for line in out.splitlines()] == payload["preferred_extensions"]
 
 
 def test_map_output_reparses_to_the_same_framework(capsys, patient_a_bundle):
