@@ -777,48 +777,36 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
     arguments, so a node is dropped when ``inside`` attacks itself, when
     ``upper`` does not counter some canonical attacker of ``inside``, or
     when ``upper`` lies inside an extension already found; an undecided
-    member whose own attackers ``upper`` cannot all counter is decided out.
-    An admissible ``upper`` is the one maximal set below its node and is
-    kept whole.  Deciding "in" first means no later extension contains an
-    earlier one.
+    member is decided out when ``upper`` cannot counter one of its normal
+    attackers.  An admissible ``upper`` is the one maximal set below its
+    node and is kept whole.  Deciding "in" first means no later extension
+    contains an earlier one.
     """
-    normal, reverse = tables.normal, tables.reverse
+    normal, pairs = tables.normal, tables.reverse_pairs
     attacks, uncountered = tables.attacks, tables.uncountered
     usable = 0
-    rev: list[tuple[int, int]] = []  # (member bit, one of its reverse supports)
     rest = part
     while rest:
         low = rest & -rest
         i = low.bit_length() - 1
         if 0 not in normal[i] and low not in normal[i]:
             usable |= low
-        if reverse[i]:
-            rev += [(low, s) for s in reverse[i]]
         rest ^= low
-    # own[u]: the members whose reverse support is member u alone
-    own: dict[int, tuple[int, ...]] = {}
-    for j, s in rev:
-        if s & (s - 1) == 0:
-            own[s] = own.get(s, ()) + (j,)
 
     found: list[int] = []
     # (inside, rest, the canonical attackers of inside that inside does not counter)
     stack: list[tuple[int, int, list[int]]] = [(0, usable, [])]
     while stack:
         inside, rest, open_ = stack.pop()
-        upper = reach = inside | rest
+        upper = inside | rest
         undecided = rest
         while undecided:
             low = undecided & -undecided
             undecided ^= low
-            if uncountered(upper, normal[low.bit_length() - 1]) or (
-                low in own and uncountered(upper, own[low])
-            ):
+            if uncountered(upper, normal[low.bit_length() - 1]):
                 rest ^= low
                 upper ^= low
         if found and any(upper | ext == ext for ext in found):
-            continue
-        if upper != reach and open_ and uncountered(upper, open_):
             continue
         if not attacks(upper, upper) and tables.defends(upper, upper):
             found.append(upper)
@@ -834,7 +822,7 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
             grown = inside | low
             if attacks(grown, grown):
                 break
-            new = [j for j, s in rev if s & low and s & ~grown == 0]
+            new = [j for j, s in pairs if s & low and s & ~grown == 0]
             new.extend(normal[low.bit_length() - 1])
             new = uncountered(grown, new, True)
             if new and uncountered(upper, new):

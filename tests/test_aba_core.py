@@ -988,6 +988,31 @@ def test_threshold_core_without_a_preferred_y_keeps_all_xs():
     assert preferred_extensions(framework) == (sset(*xs),)
 
 
+def test_linked_pairs_form_one_part_with_1024_extensions():
+    # Ten pairs a_i/b_i attack each other, and z is attacked by all the a_i
+    # together: one part of 21 assumptions, past every other reference here.
+    # Each extension picks a_i or b_i per pair, and holds z exactly when some
+    # b_i attacks that attacker of z.
+    k = 10
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    framework = fw(
+        [(f"na{i}", [b[i]]) for i in range(k)]
+        + [(f"nb{i}", [a[i]]) for i in range(k)]
+        + [("nz", a)],
+        a + b + ["z"],
+        [(x, f"n{x}") for x in a + b + ["z"]],
+    )
+    assert len(_attack_tables(framework).parts) == 1
+    expected = set()
+    for choice in product(*zip(a, b)):
+        extra = ["z"] if set(choice) & set(b) else []
+        expected.add(sset(*choice, *extra))
+    extensions = preferred_extensions(framework)
+    assert len(extensions) == 1024
+    assert set(extensions) == expected
+
+
 @pytest.mark.parametrize("pairs, free", [(1, 22), (12, 0)])
 def test_attacked_pairs_at_the_default_cap_keep_all_but_the_attacked(
     monkeypatch, pairs, free

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,26 @@ def test_invalid_json_reports_the_position():
     assert err.value.line == 2
     assert err.value.column == 23
     assert "Expecting value" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(b"\xff", id="not-utf8"),
+        pytest.param(
+            "1" * 5000,
+            id="int-past-the-digit-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python reads integer literals of any length",
+            ),
+        ),
+    ],
+)
+def test_load_errors_without_a_position_point_at_the_start(source):
+    with pytest.raises(ParseError) as err:
+        parse_bundle(source)
+    assert (err.value.line, err.value.column) == (1, 1)
 
 
 def test_schema_violations_carry_json_pointers():

@@ -13,7 +13,7 @@ import argclinic
 from argclinic import parse_aba_text, serialize_framework, validate_framework
 from argclinic.aba_text import serialize_abapg
 from argclinic.cli import main
-from argclinic.generators import random_abapg, random_bundle_data
+from argclinic.generators import random_abapg, random_bundle_data, random_framework
 from argclinic.mapper import build_patient_framework
 
 from conftest import FIXTURES, attacked_pairs
@@ -334,6 +334,39 @@ def test_map_prints_the_whole_drug_clash_translation(capsys):
         "# symbol: r2 := recommendation 'r2'\n"
         "# symbol: Gastrointestinal_Bleeding := state 'Gastrointestinal Bleeding'\n"
     )
+
+
+NOTES_BUNDLE = {
+    "recommendations": [
+        {"name": "r1", "action": "walk", "deontic_strength": "should", "tracks": [
+            {"property": "Pain", "effect": "Decrease", "initial_value": None, "contribution": "+"}]},
+        {"name": "r2", "action": "swim", "deontic_strength": "must", "tracks": [
+            {"property": "Pain", "effect": "Decrease", "initial_value": None, "contribution": "+"}]},
+        {"name": "r3", "action": "rest", "deontic_strength": "should", "tracks": [
+            {"property": "Pain", "effect": "Increase", "initial_value": None, "contribution": "-"}]},
+    ],
+    "interactions": [{"first": "r1", "second": "r2", "modal": "certain"}],
+    "context": {"goals": ["not Increase Pain"]},
+}
+
+
+def test_mapping_notes_reach_map_check_and_solve(tmp_path, capsys):
+    # r1 and r2 are both positive, so their certain interaction is read as a
+    # symmetric conflict; only r3 tracks Increase Pain, and it is positive, so
+    # the goal of preventing it has no deriving rule.
+    bundle = tmp_path / "notes.json"
+    bundle.write_text(json.dumps(NOTES_BUNDLE), encoding="utf-8")
+    warning = "goal '¬Increase Pain' cannot be concluded by any rule; dropped"
+    code, out, err = run(capsys, "map", "--bundle", str(bundle))
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "# same-sign interaction treated as symmetric conflict: r1 ~ r2\n"
+        f"# warning: {warning}\n"
+    )
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, "--bundle", str(bundle))
+        assert (code, err) == (0, "")
+        assert f"\nwarning: {warning}\n" in out
 
 
 def test_check_summarises_a_bundle(capsys):
@@ -882,6 +915,42 @@ def test_oracle_agreement_exits_0(capsys):
     assert code == 0
     assert out == (
         "agreement: 4 frameworks, 2 goal instances (seed 7, max 4 assumptions)\n"
+    )
+
+
+def _rendered(extensions) -> str:
+    return ", ".join("{" + ", ".join(sorted(e)) + "}" for e in extensions) or "(none)"
+
+
+def test_oracle_disagreement_on_preferred_extensions_exits_4(capsys, monkeypatch):
+    real = argclinic.cli.preferred_extensions
+    monkeypatch.setattr(argclinic.cli, "preferred_extensions", lambda f: real(f)[1:])
+    code, out, _ = run(capsys, "oracle", "--count", "3", "--max-assumptions", "4")
+    assert code == 4
+    framework = random_framework(random.Random(0), max_assumptions=4)
+    extensions = real(framework)
+    assert out == (
+        "disagreement on preferred extensions (instance 0):\n"
+        + serialize_framework(framework)
+        + f"  engine: {_rendered(extensions[1:])}\n"
+        + f"  oracle: {_rendered(extensions)}\n"
+    )
+
+
+def test_oracle_disagreement_on_top_goal_extensions_exits_4(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(
+        argclinic.cli, "rank_goals", lambda f: SimpleNamespace(top_goal_extensions=())
+    )
+    code, out, _ = run(capsys, "oracle", "--count", "3", "--max-assumptions", "4")
+    assert code == 4
+    rng = random.Random(0)
+    for _ in range(3):  # the preferred-extension round draws first
+        random_framework(rng, max_assumptions=4)
+    assert out == (
+        "disagreement on top goal extensions (instance 0):\n"
+        + serialize_abapg(random_abapg(rng, max_assumptions=4))
     )
 
 
