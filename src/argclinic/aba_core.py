@@ -302,11 +302,9 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     if not assumptions:
         raise ValidationError("a framework needs at least one assumption")
 
-    for rule in rules:
-        if rule.head in assumptions:
-            raise FlatnessViolation(
-                f"assumption {_cut(repr(rule.head.symbol))} appears as a rule head"
-            )
+    heads = sorted(assumptions.intersection(rule.head for rule in rules))
+    if heads:
+        raise FlatnessViolation(f"assumption {_cut(repr(heads[0].symbol))} appears as a rule head")
 
     contrary: dict[Sentence, Sentence] = {}
     for asm, target in contrary_pairs:

@@ -38,10 +38,9 @@ from .aba_goals import (
     validate_abapg,
 )
 from .errors import (
-    ConfigError,
+    ArgClinicError,
     OracleSizeExceeded,
     ParseError,
-    SchemaError,
     SizeLimitExceeded,
     ValidationError,
 )
@@ -306,10 +305,7 @@ def _report_sets(label: str, extensions) -> None:
     sys.stdout.write(f"  {label}: {rendered or '(none)'}\n")
 
 
-def _add_input_arguments(parser: argparse.ArgumentParser, bundle_only: bool = False):
-    if bundle_only:
-        parser.add_argument("--bundle", required=True, help="guideline bundle (JSON)")
-        return
+def _add_input_arguments(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--bundle", help="guideline bundle (JSON)")
     group.add_argument("--aba", help="framework in textual form")
@@ -339,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=_cmd_solve)
 
     mapper = commands.add_parser("map", help="print the framework built from a bundle")
-    _add_input_arguments(mapper, bundle_only=True)
+    mapper.add_argument("--bundle", required=True, help="guideline bundle (JSON)")
     mapper.set_defaults(func=_cmd_map)
 
     check = commands.add_parser("check", help="validate input and exit")
@@ -372,18 +368,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ParseError, SchemaError, ConfigError) as exc:
+    except (ArgClinicError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except SizeLimitExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SIZE
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        if isinstance(exc, SizeLimitExceeded):
+            return EXIT_SIZE
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -52,6 +52,15 @@ _ACTIONS = [
 ]
 
 
+def _level_pairs(rng: random.Random, items: list, top: int) -> tuple[dict, list]:
+    """Random levels ``0..top`` for ``items``, drawn in order, and the total
+    preorder they induce as its non-reflexive ``(low, high)`` pairs."""
+    level = {item: rng.randint(0, top) for item in items}
+    return level, [
+        (low, high) for low in items for high in items if low != high and level[low] <= level[high]
+    ]
+
+
 def random_framework(
     rng: random.Random,
     max_assumptions: int = 8,
@@ -97,14 +106,7 @@ def random_abapg(rng: random.Random, max_assumptions: int = 8) -> AbapgFramework
         if heads:
             break
     goals = rng.sample(heads, rng.randint(1, min(4, len(heads))))
-    level = {goal: rng.randint(0, len(goals)) for goal in goals}
-    priorities = [
-        (low, high)
-        for low in goals
-        for high in goals
-        if level[low] <= level[high]
-    ]
-    return validate_abapg(base, goals, priorities)
+    return validate_abapg(base, goals, _level_pairs(rng, goals, len(goals))[1])
 
 
 def random_tmr_instance(
@@ -176,33 +178,19 @@ def random_tmr_instance(
             )
 
         if total_preference:
-            rec_level = {name: rng.randint(0, count) for name in names}
-            action_preference = [
-                (low, high)
-                for low in names
-                for high in names
-                if low != high and rec_level[low] <= rec_level[high]
-            ]
+            rec_level, action_preference = _level_pairs(rng, names, count)
         else:
             action_preference = []
             for _ in range(rng.randint(0, count)):
                 low, high = rng.sample(names, 2)
                 action_preference.append((low, high))
 
-        goal_level = {index: rng.randint(0, len(goals)) for index in range(len(goals))}
-        goal_priority = [
-            (goals[i], goals[j])
-            for i in range(len(goals))
-            for j in range(len(goals))
-            if i != j and goal_level[i] <= goal_level[j]
-        ]
-
         context = validate_context(
             recommendations,
             patient_state=patient_state,
             goals=goals,
             action_preference=action_preference,
-            goal_priority=goal_priority,
+            goal_priority=_level_pairs(rng, goals, len(goals))[1],
         )
 
         if require_cf_maximal and total_preference:

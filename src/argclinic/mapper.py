@@ -27,13 +27,14 @@ from typing import Mapping, Sequence
 
 from .aba_core import RawFramework, mint_contraries, validate_framework
 from .aba_goals import AbapgFramework, GoalRanking, rank_goals, validate_abapg
-from .errors import Record, SymbolCollision, _cut
+from .errors import InvalidInteraction, Record, SymbolCollision, _cut
 from .tmr import (
     Context,
     GoalTerm,
     Interaction,
     Modal,
     Recommendation,
+    StateTerm,
     validate_context,
     validate_interaction,
 )
@@ -95,10 +96,8 @@ class _SymbolTable:
         return set(self._owners)
 
 
-def _state_symbol(table: _SymbolTable, value: str | None, prop: str) -> str:
-    if value is None:
-        return table.intern("state", prop, symbolize(prop))
-    display = f"{value} {prop}"
+def _state_symbol(table: _SymbolTable, term: StateTerm) -> str:
+    display = term.display()
     return table.intern("state", display, symbolize(display))
 
 
@@ -119,7 +118,8 @@ def build_patient_framework(
     Names, interactions and context compatibility are re-checked here.  A
     repeated name would merge two recommendations into one assumption, and
     state or goal terms that match no causation track would silently produce
-    an unreachable sentence, so both are rejected.
+    an unreachable sentence, and a pair listed as both certain and uncertain
+    would make its token a fact and an assumption, so all three are rejected.
     """
     by_name: dict[str, Recommendation] = {}
     for rec in recommendations:
@@ -129,6 +129,13 @@ def build_patient_framework(
     interactions = [
         validate_interaction(i.first, i.second, i.modal, by_name) for i in interactions
     ]
+    modal_of: dict[tuple[str, str], Modal] = {}
+    for i in interactions:
+        if modal_of.setdefault((i.first, i.second), i.modal) is not i.modal:
+            raise InvalidInteraction(
+                f"interaction {_cut(repr(i.first))} / {_cut(repr(i.second))} "
+                "is listed as both certain and uncertain"
+            )
     context = validate_context(
         recommendations,
         patient_state=context.patient_state,
@@ -140,7 +147,6 @@ def build_patient_framework(
     families: dict[str, set[tuple[str, tuple[str, ...]]]] = {
         name: set() for name in _RULE_FAMILIES
     }
-    warnings: list[str] = []
     symmetric: list[tuple[str, str]] = []
 
     ordered = sorted(recommendations, key=lambda r: r.name)
@@ -161,9 +167,7 @@ def build_patient_framework(
 
     # Patient state facts.
     for term in sorted(context.patient_state):
-        families["state_facts"].add(
-            (_state_symbol(table, term.value, term.property), ())
-        )
+        families["state_facts"].add((_state_symbol(table, term), ()))
 
     # Interaction tokens, and the contradiction rules as (family, target
     # recommendation, body): their heads, the targets' contraries, are
@@ -206,7 +210,7 @@ def build_patient_framework(
         for track in negative.tracks:
             if track.contribution != "-":
                 continue
-            condition = _state_symbol(table, track.initial_value, track.property)
+            condition = _state_symbol(table, StateTerm(track.property, track.initial_value))
             conflicts.append(
                 (
                     "contradiction_rules_negative",
@@ -255,9 +259,6 @@ def build_patient_framework(
             goal_symbols[term] = symbol
         else:
             dropped.append(term.display())
-            warnings.append(
-                f"goal {term.display()!r} cannot be concluded by any rule; dropped"
-            )
     priority_pairs = [
         (goal_symbols[a], goal_symbols[b])
         for a, b in sorted(context.goal_priority)
@@ -269,7 +270,7 @@ def build_patient_framework(
         rule_counts={name: len(families[name]) for name in _RULE_FAMILIES},
         assumptions=assumptions,
         symbol_table=dict(sorted(table.entries.items())),
-        warnings=tuple(warnings),
+        warnings=tuple(f"goal {d!r} cannot be concluded by any rule; dropped" for d in dropped),
         symmetric_interactions=tuple(symmetric),
         dropped_goals=tuple(dropped),
     )
@@ -351,17 +352,15 @@ def resolve(
         recommendations, interactions, context
     )
     ranking = rank_goals(framework)
-    rec_names = {r.name for r in recommendations}
+    by_name = {r.name: r for r in recommendations}
     preferred_recs = tuple(
-        tuple(sorted(s.symbol for s in ext if s.symbol in rec_names))
+        tuple(sorted(s.symbol for s in ext if s.symbol in by_name))
         for ext in ranking.preferred
     )
-
-    by_name = {r.name: r for r in recommendations}
     plans = []
     for goal_ext in ranking.top_goal_extensions:
         for source in goal_ext.sources:
-            chosen = sorted(s.symbol for s in source if s.symbol in rec_names)
+            chosen = sorted(s.symbol for s in source if s.symbol in by_name)
             items = tuple(
                 FollowItem(
                     recommendation=name,

@@ -9,7 +9,7 @@ types, so a bug would have to be made twice to go unnoticed.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 
 from .aba_core import AbaFramework, Preorder, Sentence, extension_sort_key
@@ -90,6 +90,11 @@ def brute_force_attacks(
     return False
 
 
+def _memoised_attacks(framework: AbaFramework):
+    """``brute_force_attacks`` bound to ``framework``, memoised per (attacker, target)."""
+    return lru_cache(maxsize=None)(partial(brute_force_attacks, framework))
+
+
 def _all_subsets(framework: AbaFramework) -> list[frozenset[Sentence]]:
     members = sorted(framework.assumptions)
     return [
@@ -107,14 +112,7 @@ def brute_force_defends(
 ) -> bool:
     """Universal-quantifier defence: counter every attacking subset."""
     _check_size(framework)
-    memo: dict[tuple[frozenset, frozenset], bool] = {}
-
-    def att(a: frozenset[Sentence], b: frozenset[Sentence]) -> bool:
-        key = (a, b)
-        if key not in memo:
-            memo[key] = brute_force_attacks(framework, a, b)
-        return memo[key]
-
+    att = _memoised_attacks(framework)
     return all(
         att(defender, attacker)
         for attacker in _all_subsets(framework)
@@ -128,14 +126,7 @@ def brute_force_preferred(
     """Maximal admissible sets by exhaustive enumeration."""
     _check_size(framework)
     subsets = _all_subsets(framework)
-    memo: dict[tuple[frozenset, frozenset], bool] = {}
-
-    def att(a: frozenset[Sentence], b: frozenset[Sentence]) -> bool:
-        key = (a, b)
-        if key not in memo:
-            memo[key] = brute_force_attacks(framework, a, b)
-        return memo[key]
-
+    att = _memoised_attacks(framework)
     admissible = []
     for candidate in subsets:
         if att(candidate, candidate):

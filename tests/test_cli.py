@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import argclinic
-from argclinic import parse_aba_text, serialize_framework, validate_framework
+from argclinic import cli, errors, parse_aba_text, serialize_framework, validate_framework
 from argclinic.aba_text import serialize_abapg
 from argclinic.cli import main
 from argclinic.generators import random_abapg, random_bundle_data, random_framework
@@ -690,6 +690,41 @@ def test_missing_files_exit_2(capsys):
     assert "error:" in err
 
 
+def _error_classes(base=errors.ArgClinicError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch, error):
+    raised = error("boom", 1, 1) if issubclass(error, errors.ParseError) else error("boom")
+
+    def fail(args):
+        raise raised
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    program = tmp_path / "case.aba"
+    program.write_text("assumption(a).\n")
+    if issubclass(error, errors.SizeLimitExceeded):
+        expected = 3
+    else:
+        expected = 1 if issubclass(error, errors.ValidationError) else 2
+    assert run(capsys, "check", "--aba", str(program)) == (expected, "", f"error: {raised}\n")
+
+
+def test_a_pair_listed_as_both_certain_and_uncertain_exits_1(tmp_path, capsys):
+    data = json.loads(Path(PATIENT_A).read_text(encoding="utf-8"))
+    data["interactions"].append({"first": "r2", "second": "r4", "modal": "uncertain"})
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("check", "solve"):
+        assert run(capsys, command, "--bundle", str(case)) == (
+            1, "", "error: interaction 'r2' / 'r4' is listed as both certain and uncertain\n"
+        )
+
+
 @pytest.mark.parametrize("flag", ["--bundle", "--aba"])
 def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
     bad = tmp_path / "bad.txt"
@@ -768,13 +803,26 @@ def test_default_cap_still_rejects_25_assumptions(tmp_path, capsys, monkeypatch,
     assert err == "error: 25 assumptions exceed the enumeration cap of 24\n"
 
 
-def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "assumption(a).\n"
+            "rule(p, [a]).\nrule(q, [a]).\nrule(s, [a]).\n"
+            "goal(p).\ngoal(q).\ngoal(s).\n",
+            "goals 'p' and 'q' are incomparable",
+        ),
+        (
+            "assumption(a).\nassumption(b).\nassumption(c).\n"
+            "rule(a, []).\nrule(b, []).\nrule(c, [a]).\n",
+            "assumption 'a' appears as a rule head",
+        ),
+    ],
+    ids=["incomparable-goals", "flatness"],
+)
+def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path, text, message):
     program = tmp_path / "goals.aba"
-    program.write_text(
-        "assumption(a).\n"
-        "rule(p, [a]).\nrule(q, [a]).\nrule(s, [a]).\n"
-        "goal(p).\ngoal(q).\ngoal(s).\n"
-    )
+    program.write_text(text)
     src = str(Path(argclinic.__file__).resolve().parent.parent)
     results = set()
     for seed in ("0", "1", "2", "3", "4", "5"):
@@ -786,7 +834,7 @@ def test_incomparable_goal_message_ignores_the_hash_seed(tmp_path):
             text=True,
         )
         results.add((done.returncode, done.stdout, done.stderr))
-    assert results == {(1, "", "error: goals 'p' and 'q' are incomparable\n")}
+    assert results == {(1, "", f"error: {message}\n")}
 
 
 def run_fresh(*args, **env):

@@ -166,6 +166,19 @@ def test_uncertain_interaction_tokens_are_assumptions():
     assert framework.base.contrary(token).symbol == "contrary_of_int_r1_r2"
 
 
+def test_a_pair_listed_as_both_certain_and_uncertain_is_rejected():
+    certain, uncertain = (Interaction("r1", "r2", modal) for modal in Modal)
+    with pytest.raises(InvalidInteraction) as caught:
+        build_patient_framework(PAIR, [certain, uncertain], ctx())
+    assert str(caught.value) == "interaction 'r1' / 'r2' is listed as both certain and uncertain"
+    # the same pair twice with one modality, and the reversed pair, stay accepted
+    framework, _ = build_patient_framework(PAIR, [uncertain, uncertain], ctx())
+    assert framework.base.assumptions == {"r1", "r2", "int_r1_r2"}
+    reversed_pair = Interaction("r2", "r1", Modal.UNCERTAIN)
+    framework, _ = build_patient_framework(PAIR, [certain, reversed_pair], ctx())
+    assert framework.base.assumptions == {"r1", "r2", "int_r2_r1"}
+
+
 def test_interaction_tokens_are_never_attacked():
     interactions = [Interaction("r1", "r2", Modal.UNCERTAIN)]
     context = ctx(patient_state=frozenset({StateTerm("Pain", "High")}))
