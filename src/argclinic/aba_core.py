@@ -540,12 +540,16 @@ class _AttackTables(Record):
         ``normal[i]`` and ``reverse[i]``, so each attack witness (a member
         with one of those supports) lies inside one part.  The preference
         only compares a member with its supports, so it splits the same way.
+        Only the members with supports on their contrary are merged; every
+        member that none of those parts covers is a part of its own.
         """
         parts: list[int] = []
         covered = 0
-        for i in range(len(self.normal)):
+        for i, (normal, reverse) in enumerate(zip(self.normal, self.reverse)):
+            if not normal and not reverse:
+                continue
             part = 1 << i
-            for s in self.normal[i] + self.reverse[i]:
+            for s in normal + reverse:
                 part |= s
             if part & covered:
                 for other in [p for p in parts if p & part]:
@@ -553,6 +557,11 @@ class _AttackTables(Record):
                     part |= other
             parts.append(part)
             covered |= part
+        free = ((1 << len(self.normal)) - 1) & ~covered
+        while free:
+            low = free & -free
+            parts.append(low)
+            free ^= low
         return tuple(parts)
 
 
@@ -613,18 +622,29 @@ class _AttackTables(Record):
 def _attack_tables(framework: AbaFramework) -> _AttackTables:
     table = compute_supports(framework)
     order = table.order
-    position = table.position
-    # below[i]: the assumptions strictly less preferred than order[i]
-    below = [0] * len(order)
-    for a, b in framework.preference.strict_pairs:
-        if a in position and b in position:
-            below[position[b]] |= 1 << position[a]
-    normal: list[tuple[int, ...]] = []
-    reverse: list[tuple[int, ...]] = []
+    families = table.mask_families
+    contrary = framework.contrary_map
+    # below[i]: the assumptions strictly less preferred than order[i], if any
+    below: dict[int, int] = {}
+    if framework.preference.strict_pairs:
+        position = table.position
+        for a, b in framework.preference.strict_pairs:
+            if a in position and b in position:
+                i = position[b]
+                below[i] = below.get(i, 0) | 1 << position[a]
+    normal: list[tuple[int, ...]] = [()] * len(order)
+    reverse = normal.copy()
     for i, b in enumerate(order):
-        masks = sorted(table.mask_families.get(framework.contrary(b), ()))
-        normal.append(tuple(m for m in masks if m & below[i] == 0))
-        reverse.append(tuple(m for m in masks if m & below[i] != 0))
+        masks = families.get(contrary[b])
+        if not masks:
+            continue
+        low = below.get(i)
+        if low:
+            masks = sorted(masks)
+            normal[i] = tuple(m for m in masks if m & low == 0)
+            reverse[i] = tuple(m for m in masks if m & low)
+        else:
+            normal[i] = tuple(sorted(masks))
     return _AttackTables(table=table, normal=tuple(normal), reverse=tuple(reverse))
 
 
@@ -779,6 +799,12 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
     attackers.  An admissible ``upper`` is the one maximal set below its
     node and is kept whole.  Deciding "in" first means no later extension
     contains an earlier one.
+
+    The extensions found are indexed by member: bit ``e`` of ``holders[i]``
+    is set when ``found[e]`` holds member ``i``.  ``upper`` lies inside one
+    exactly when the AND of ``holders`` over its members, starting from one
+    bit per extension found, is nonzero, so a node costs its members, not the
+    number of extensions found.
     """
     normal, pairs = tables.normal, tables.reverse_pairs
     attacks, uncountered = tables.attacks, tables.uncountered
@@ -792,6 +818,7 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
         rest ^= low
 
     found: list[int] = []
+    holders = [0] * part.bit_length()
     # (inside, rest, the canonical attackers of inside that inside does not counter)
     stack: list[tuple[int, int, list[int]]] = [(0, usable, [])]
     while stack:
@@ -804,10 +831,22 @@ def _preferred_masks(tables: _AttackTables, part: int) -> list[int]:
             if uncountered(upper, normal[low.bit_length() - 1]):
                 rest ^= low
                 upper ^= low
-        if found and any(upper | ext == ext for ext in found):
+        holding = (1 << len(found)) - 1
+        members = upper
+        while members and holding:
+            low = members & -members
+            members ^= low
+            holding &= holders[low.bit_length() - 1]
+        if holding:
             continue
         if not attacks(upper, upper) and tables.defends(upper, upper):
+            bit = 1 << len(found)
             found.append(upper)
+            members = upper
+            while members:
+                low = members & -members
+                members ^= low
+                holders[low.bit_length() - 1] |= bit
             continue
         # Go "in" while that stays alive, leaving each live "out" on the stack.
         # ``upper`` does not change on the way, so nothing above is redone,

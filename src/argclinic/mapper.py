@@ -171,11 +171,12 @@ def build_patient_framework(
 
     # Interaction tokens, and the contradiction rules as (family, target
     # recommendation, body): their heads, the targets' contraries, are
-    # minted below once every other symbol is interned.
+    # minted below once every other symbol is interned.  A pair listed twice
+    # has one modality (checked above), so it is one interaction and one token.
     token_assumptions: list[str] = []
     conflicts: list[tuple[str, str, tuple[str, ...]]] = []
     ordered_interactions = sorted(
-        interactions, key=lambda i: (i.first, i.second, i.modal.value)
+        set(interactions), key=lambda i: (i.first, i.second, i.modal.value)
     )
     for inter in ordered_interactions:
         token_display = f"{inter.first} / {inter.second}"

@@ -33,7 +33,12 @@ from argclinic import (
     preferred_extensions,
     validate_framework,
 )
-from argclinic.aba_core import SupportTable, _attack_tables, transitive_closure
+from argclinic.aba_core import (
+    SupportTable,
+    _attack_tables,
+    _preferred_masks,
+    transitive_closure,
+)
 from argclinic.bundle import parse_bundle
 from argclinic.generators import random_bundle_data, random_framework
 from argclinic.mapper import build_patient_framework
@@ -1011,6 +1016,113 @@ def test_linked_pairs_form_one_part_with_1024_extensions():
     extensions = preferred_extensions(framework)
     assert len(extensions) == 1024
     assert set(extensions) == expected
+
+
+def linked_pairs(k: int) -> AbaFramework:
+    """The program above with ``k`` pairs: one part, 2**k extensions."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    return fw(
+        [(f"na{i}", [b[i]]) for i in range(k)]
+        + [(f"nb{i}", [a[i]]) for i in range(k)]
+        + [("nz", a)],
+        a + b + ["z"],
+        [(x, f"n{x}") for x in a + b + ["z"]],
+    )
+
+
+# Frameworks whose free members (no support on their contrary, in no support)
+# sit between, before and after the attacked ones in the assumption order,
+# next to a member that is free of supports on its contrary but inside one.
+FREE_MEMBERS = (
+    fw(assumptions=["a", "b", "c"]),
+    attacked_pairs(3, 4),
+    fw([("c_m", ["a", "z"])], ["a", "f", "m", "n", "z"], [("m", "c_m")]),
+    fw(
+        [("c_b", ["d"]), ("c_y", ["a", "x"])],
+        ["a", "b", "c", "d", "e", "x", "y"],
+        [("b", "c_b"), ("y", "c_y")],
+        [("a", "y"), ("c", "e")],
+    ),
+)
+
+
+def test_attack_parts_partition_the_assumptions():
+    frameworks = [random_framework(random.Random(s), max_assumptions=20) for s in range(300)]
+    for draw, framework in enumerate(frameworks + list(FREE_MEMBERS)):
+        tables = _attack_tables(framework)
+        n = len(framework.assumptions)
+        union = 0
+        for part in tables.parts:
+            assert part and part & union == 0, draw
+            union |= part
+        assert union == (1 << n) - 1, draw
+        part_of = [next(p for p in tables.parts if p >> i & 1) for i in range(n)]
+        supported = 0
+        for i in range(n):
+            for s in tables.normal[i] + tables.reverse[i]:
+                assert s & ~part_of[i] == 0, draw
+                supported |= s
+        for i in range(n):
+            if not (tables.normal[i] or tables.reverse[i] or supported >> i & 1):
+                assert part_of[i] == 1 << i, draw
+
+
+def scan_preferred_masks(tables, part):
+    """The search of :func:`_preferred_masks` with the literal scan of ``found``
+    in place of the member index, as a reference."""
+    normal, pairs = tables.normal, tables.reverse_pairs
+    attacks, uncountered = tables.attacks, tables.uncountered
+    usable = 0
+    rest = part
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        if 0 not in normal[i] and low not in normal[i]:
+            usable |= low
+        rest ^= low
+    found = []
+    stack = [(0, usable, [])]
+    while stack:
+        inside, rest, open_ = stack.pop()
+        upper = inside | rest
+        undecided = rest
+        while undecided:
+            low = undecided & -undecided
+            undecided ^= low
+            if uncountered(upper, normal[low.bit_length() - 1]):
+                rest ^= low
+                upper ^= low
+        if found and any(upper | ext == ext for ext in found):
+            continue
+        if not attacks(upper, upper) and tables.defends(upper, upper):
+            found.append(upper)
+            continue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not open_ or not uncountered(upper ^ low, open_):
+                stack.append((inside, rest, open_))
+            grown = inside | low
+            if attacks(grown, grown):
+                break
+            new = [j for j, s in pairs if s & low and s & ~grown == 0]
+            new.extend(normal[low.bit_length() - 1])
+            new = uncountered(grown, new, True)
+            if new and uncountered(upper, new):
+                break
+            inside = grown
+            if new:
+                open_ = open_ + new
+    return found
+
+
+def test_the_index_of_extensions_found_keeps_every_answer_and_its_order():
+    frameworks = [random_framework(random.Random(s), max_assumptions=20) for s in range(300)]
+    for draw, framework in enumerate(frameworks + [linked_pairs(9)]):
+        tables = _attack_tables(framework)
+        for part in tables.parts:
+            assert _preferred_masks(tables, part) == scan_preferred_masks(tables, part), draw
 
 
 @pytest.mark.parametrize("pairs, free", [(1, 22), (12, 0)])

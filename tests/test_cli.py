@@ -725,6 +725,32 @@ def test_a_pair_listed_as_both_certain_and_uncertain_exits_1(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"first": "r2", "second": "r8", "modal": "uncertain"},
+        {"first": "r2", "second": "r3", "modal": "certain"},
+    ],
+    ids=["uncertain-token", "same-sign"],
+)
+def test_map_reads_a_pair_listed_twice_as_listed_once(tmp_path, capsys, entry):
+    # One token, one minted contrary (no contrary_of_int_r2_r8_) and one
+    # same-sign note, however often the pair is listed.
+    data = json.loads(Path(PATIENT_A).read_text(encoding="utf-8"))
+    # patient_a lists r2 / r8 as certain, which an uncertain entry would contradict
+    data["interactions"] = [i for i in data["interactions"] if i["second"] != "r8"]
+    outputs = []
+    for copies in (1, 2):
+        case = tmp_path / f"case{copies}.json"
+        case.write_text(
+            json.dumps({**data, "interactions": data["interactions"] + [entry] * copies}),
+            encoding="utf-8",
+        )
+        outputs.append(run(capsys, "map", "--bundle", str(case)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("flag", ["--bundle", "--aba"])
 def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
     bad = tmp_path / "bad.txt"

@@ -179,6 +179,16 @@ def test_a_pair_listed_as_both_certain_and_uncertain_is_rejected():
     assert framework.base.assumptions == {"r1", "r2", "int_r2_r1"}
 
 
+def test_a_pair_listed_twice_is_one_interaction():
+    for modal in Modal:
+        pair = Interaction("r1", "r2", modal)
+        once = build_patient_framework(PAIR, [pair], ctx())
+        assert build_patient_framework(PAIR, [pair, pair], ctx()) == once
+    uncertain = Interaction("r1", "r2", Modal.UNCERTAIN)
+    _, report = build_patient_framework(PAIR, [uncertain, uncertain], ctx())
+    assert report.assumptions == ("r1", "r2", "int_r1_r2")
+
+
 def test_interaction_tokens_are_never_attacked():
     interactions = [Interaction("r1", "r2", Modal.UNCERTAIN)]
     context = ctx(patient_state=frozenset({StateTerm("Pain", "High")}))
