@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache
-from typing import Callable, Container, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     ConfigError,
@@ -112,31 +112,44 @@ def transitive_closure(
     return frozenset(closed)
 
 
-def _check_total(
-    members: Iterable[_T],
-    closed: Container[tuple[_T, _T]],
-    show: Callable[[_T], str],
-) -> None:
-    """Raise PriorityNotTotal for the first incomparable pair, in sorted order.
+def _close_relation(
+    pairs: Iterable[tuple[_T, _T]],
+    carrier: Collection[_T],
+    outside: Callable[[_T], Exception],
+    show: Callable[[_T], str] | None = None,
+) -> frozenset[tuple[_T, _T]]:
+    """:func:`transitive_closure` of ``pairs`` over ``carrier``, read once.
 
-    ``closed`` is a reflexive-transitive closure over ``members``; ``show``
-    gives the text of a member in the message.
+    Raises ``outside(s)`` for the first pair member ``s`` not in ``carrier``.
+    With ``show``, the closure must be total: PriorityNotTotal names the
+    first incomparable pair in sorted order, each member by ``show``.
     """
-    ordered = sorted(members)
+    pairs = list(pairs)
+    stray = [s for pair in pairs for s in pair if s not in carrier]
+    if stray:
+        raise outside(stray[0])
+    closed = transitive_closure(pairs, carrier)
+    ordered = sorted(carrier) if show else ()
     for a in ordered:
         for b in ordered:
             if (a, b) not in closed and (b, a) not in closed:
                 raise PriorityNotTotal(
                     f"goals {_cut(repr(show(a)))} and {_cut(repr(show(b)))} are incomparable"
                 )
+    return closed
+
+
+def _nonreflexive(pairs: Iterable[tuple[_T, _T]]) -> list[tuple[_T, _T]]:
+    """The pairs ``(a, b)`` with ``a != b``, sorted: a preorder as it is written."""
+    return sorted((a, b) for a, b in pairs if a != b)
 
 
 class Preorder(Record):
     """A reflexive-transitive relation ``leq`` over a carrier of sentences.
 
     It serves both as the preference over assumptions and as the priority
-    over goals; the validators check that the pairs stay inside the carrier
-    (and, for goals, that the closure is total).
+    over goals; the validators read its pairs with :func:`_close_relation`,
+    which keeps them inside the carrier (and, for goals, checks totality).
     """
 
     carrier: frozenset[Sentence]
@@ -160,9 +173,7 @@ class Preorder(Record):
 
     @cached_property
     def strict_pairs(self) -> frozenset[tuple[Sentence, Sentence]]:
-        return frozenset(
-            (a, b) for a, b in self.pairs if (b, a) not in self.pairs and a != b
-        )
+        return frozenset((a, b) for a, b in self.pairs if (b, a) not in self.pairs)
 
 
 class RawFramework(Record):
@@ -332,17 +343,14 @@ def validate_framework(raw: RawFramework) -> AbaFramework:
     for asm, symbol in mint_contraries(assumptions - contrary.keys(), taken).items():
         contrary[asm] = Sentence(symbol)
 
-    for pair in preference_pairs:
-        for s in pair:
-            if s not in assumptions:
-                raise DanglingPreference(
-                    f"preference mentions {_cut(repr(s.symbol))}, which is not an assumption"
-                )
+    preference = _close_relation(preference_pairs, assumptions, lambda s: DanglingPreference(
+        f"preference mentions {_cut(repr(s.symbol))}, which is not an assumption"
+    ))
     return AbaFramework(
         rules=rules,
         assumptions=assumptions,
         contrary_items=tuple(sorted(contrary.items())),
-        preference=Preorder(assumptions, transitive_closure(preference_pairs, assumptions)),
+        preference=Preorder(assumptions, preference),
     )
 
 
@@ -579,24 +587,21 @@ class _AttackTables(Record):
     def uncountered(self, defender: int, attackers, every: bool = False) -> list[int]:
         """The first of ``attackers`` that ``defender`` does not attack, or all if ``every``.
 
-        The counters of each attacker are memoised per framework."""
+        ``defender`` attacks ``c`` exactly when it holds a canonical attacker
+        of ``c``.  The memo keeps, per ``c``, the one-member ones OR-ed into one
+        mask and the rest in a list, the empty support included."""
         counters = self._counters
         left = []
         for c in attackers:
             got = counters.get(c)
             if got is None:
-                normal = self.normal
-                by_reverse = 0
-                for j, s in self.reverse_pairs:
-                    if s & ~c == 0:
-                        by_reverse |= j
-                by_normal = []
-                rest = c
-                while rest:
-                    low = rest & -rest
-                    by_normal.extend(normal[low.bit_length() - 1])
-                    rest ^= low
-                got = counters[c] = (by_reverse, by_normal)
+                single, whole = 0, []
+                for a in self.canonical_attacker_masks(c):
+                    if a and a & (a - 1) == 0:
+                        single |= a
+                    else:
+                        whole.append(a)
+                got = counters[c] = (single, whole)
             if defender & got[0]:
                 continue
             for s in got[1]:

@@ -15,13 +15,12 @@ from .aba_core import (
     AbaFramework,
     Preorder,
     Sentence,
-    _check_total,
+    _close_relation,
     _reject_bad_pairs,
     _reject_bad_symbols,
     compute_supports,
     extension_sort_key,
     preferred_extensions,
-    transitive_closure,
 )
 from .errors import GoalWithoutRule, PriorityMentionsNonGoal, Record, _cut
 
@@ -61,15 +60,10 @@ def validate_abapg(
             raise GoalWithoutRule(
                 f"goal {_cut(repr(goal.symbol))} has no rule deriving it"
             )
-    for pair in raw:
-        for s in pair:
-            if s not in goal_set:
-                raise PriorityMentionsNonGoal(
-                    f"priority mentions {_cut(repr(s.symbol))}, which is not a declared goal"
-                )
-    priority = Preorder(goal_set, transitive_closure(raw, goal_set))
-    _check_total(goal_set, priority.pairs, str)
-    return AbapgFramework(base=base, goals=goal_set, priority=priority)
+    closed = _close_relation(raw, goal_set, lambda s: PriorityMentionsNonGoal(
+        f"priority mentions {_cut(repr(s.symbol))}, which is not a declared goal"
+    ), str)
+    return AbapgFramework(base=base, goals=goal_set, priority=Preorder(goal_set, closed))
 
 
 class GoalExtension(Record):

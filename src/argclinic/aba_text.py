@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NoReturn
 
-from .aba_core import AbaFramework, RawFramework
+from .aba_core import AbaFramework, RawFramework, _nonreflexive
 from .aba_goals import AbapgFramework
 from .errors import ParseError, Record, _cut
 
@@ -160,10 +160,6 @@ def parse_aba_text(text: str) -> ParsedProgram:
     )
 
 
-def _nonreflexive(pairs: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
-    return sorted((a, b) for a, b in pairs if a != b)
-
-
 def serialize_framework(
     framework: AbaFramework,
     goals: Iterable = (),
@@ -183,15 +179,11 @@ def serialize_framework(
     for rule in sorted(framework.rules, key=lambda r: r.sort_key()):
         body = ", ".join(sorted(s.symbol for s in rule.body))
         lines.append(f"rule({rule.head.symbol}, [{body}]).")
-    for low, high in _nonreflexive(
-        (a.symbol, b.symbol) for a, b in framework.preference.pairs
-    ):
+    for low, high in _nonreflexive(framework.preference.pairs):
         lines.append(f"prefer({low}, {high}).")
     for goal in sorted(str(g) for g in goals):
         lines.append(f"goal({goal}).")
-    for low, high in _nonreflexive(
-        (str(a), str(b)) for a, b in priority_pairs
-    ):
+    for low, high in _nonreflexive(priority_pairs):
         lines.append(f"priority({low}, {high}).")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ import numbers
 import re
 from typing import Any, Callable, Mapping
 
+from .aba_core import _nonreflexive
 from .errors import DuplicateName, IncompatibleContext, ParseError, Record, SchemaError, _cut
 from .tmr import (
     CONTRIBUTIONS,
@@ -354,14 +355,10 @@ def serialize_bundle(bundle: GuidelineBundle) -> str:
         context_payload["goals"] = [
             _goal_json(term) for term in sorted(context.goals)
         ]
-    preference = sorted(
-        (low, high) for low, high in context.action_preference if low != high
-    )
+    preference = _nonreflexive(context.action_preference)
     if preference:
         context_payload["action_preference"] = [list(p) for p in preference]
-    priority = sorted(
-        ((low, high) for low, high in context.goal_priority if low != high),
-    )
+    priority = _nonreflexive(context.goal_priority)
     if priority:
         context_payload["goal_priority"] = [
             [_goal_json(low), _goal_json(high)] for low, high in priority

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Sequence
 
-from .aba_core import _check_total, transitive_closure
+from .aba_core import _close_relation, transitive_closure
 from .errors import (
     AmbiguousActionPreference,
     DsOutOfRange,
@@ -282,17 +282,9 @@ def validate_context(
     rec_names = sorted({r.name for r in recommendations})
     closed_preference = transitive_closure(preference_pairs, rec_names)
 
-    priority_pairs: set[tuple[GoalTerm, GoalTerm]] = set()
-    for low, high in goal_priority:
-        for term in (low, high):
-            if term not in goal_terms:
-                raise IncompatibleGoal(
-                    f"goal priority mentions {_cut(repr(term.display()))}, "
-                    "which is not a declared goal"
-                )
-        priority_pairs.add((low, high))
-    closed_priority = transitive_closure(priority_pairs, goal_terms)
-    _check_total(goal_terms, closed_priority, GoalTerm.display)
+    closed_priority = _close_relation(goal_priority, goal_terms, lambda term: IncompatibleGoal(
+        f"goal priority mentions {_cut(repr(term.display()))}, which is not a declared goal"
+    ), GoalTerm.display)
 
     return Context(
         patient_state=states,

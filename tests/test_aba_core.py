@@ -98,6 +98,12 @@ def test_validate_rejects_preference_over_unknown_assumption():
         fw(assumptions=["a"], preferences=[("a", "zz")])
 
 
+def test_a_contrary_conflict_is_reported_before_a_dangling_preference():
+    with pytest.raises(ContraryConflict) as caught:
+        fw(assumptions=["a"], contraries=[("a", "x"), ("a", "y")], preferences=[("a", "zz")])
+    assert str(caught.value) == "conflicting contraries for 'a': 'x' and 'y'"
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -1066,6 +1072,25 @@ def test_attack_parts_partition_the_assumptions():
         for i in range(n):
             if not (tables.normal[i] or tables.reverse[i] or supported >> i & 1):
                 assert part_of[i] == 1 << i, draw
+
+
+def test_the_counter_memo_agrees_with_the_attack_definition():
+    """``uncountered`` fills its memo from the canonical attackers; it must
+    say what :meth:`attacks` says for every canonical attacker of every part,
+    also when that attacker's own attackers include the empty support."""
+    frameworks = [random_framework(random.Random(s), max_assumptions=20) for s in range(300)]
+    seen = with_empty = 0
+    for draw, framework in enumerate(frameworks):
+        tables = _attack_tables(framework)
+        for part in tables.parts:
+            members = [1 << i for i in range(part.bit_length()) if part >> i & 1]
+            for c in set(tables.canonical_attacker_masks(part)):
+                seen += 1
+                with_empty += 0 in tables.canonical_attacker_masks(c)
+                for d in [0, c, part, *members]:
+                    expected = [] if tables.attacks(d, c) else [c]
+                    assert tables.uncountered(d, [c]) == expected, (draw, part, c, d)
+    assert 0 < with_empty < seen
 
 
 def scan_preferred_masks(tables, part):

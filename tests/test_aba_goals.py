@@ -67,6 +67,37 @@ def test_priority_must_mention_only_goals():
         validate_abapg(base, ["p", "q"], [("p", "r")])
 
 
+def test_a_goal_without_a_rule_is_reported_before_a_priority_over_a_non_goal():
+    base = fw([("p", ["a"])], ["a"], [("a", "ca")])
+    with pytest.raises(GoalWithoutRule) as caught:
+        validate_abapg(base, ["p", "q"], [("p", "r")])
+    assert str(caught.value) == "goal 'q' has no rule deriving it"
+
+
+def test_a_priority_over_a_non_goal_is_reported_before_incomparable_goals():
+    base = fw([("p", ["a"]), ("q", ["a"])], ["a"], [("a", "ca")])
+    with pytest.raises(PriorityMentionsNonGoal) as caught:
+        validate_abapg(base, ["p", "q"], [("p", "r")])
+    assert str(caught.value) == "priority mentions 'r', which is not a declared goal"
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[("p", "q"), ("q", "s")], [("p", "q"), ("q", "r")], [("p", "q")]],
+    ids=["total", "non-goal", "incomparable"],
+)
+def test_validate_abapg_reads_a_generator_of_priority_pairs_as_the_list(pairs):
+    base = fw([("p", ["a"]), ("q", ["a"]), ("s", ["a"])], ["a"], [("a", "ca")])
+
+    def outcome(given):
+        try:
+            return validate_abapg(base, ["p", "q", "s"], given)
+        except ValidationError as error:
+            return type(error), str(error)
+
+    assert outcome(pair for pair in pairs) == outcome(pairs)
+
+
 @pytest.mark.parametrize(
     "goals, pairs, message",
     [

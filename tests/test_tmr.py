@@ -435,6 +435,41 @@ def test_goal_priority_may_not_mention_undeclared_goals():
         )
 
 
+PAIN = GoalTerm(effect="Decrease", property="Pain")
+SWELLING = GoalTerm(effect="Decrease", property="Swelling")
+COMFORT = GoalTerm(effect="Decrease", property="Comfort")
+
+
+def test_an_untracked_goal_is_reported_before_a_priority_over_an_undeclared_goal():
+    untracked = GoalTerm(effect="Eliminate", property="Pain")
+    with pytest.raises(IncompatibleGoal) as caught:
+        validate_context(CARE_RECS, goals=[untracked], goal_priority=[(untracked, SWELLING)])
+    assert str(caught.value) == "no recommendation tracks the effect 'Eliminate' on 'Pain'"
+
+
+def test_a_priority_over_an_undeclared_goal_is_reported_before_incomparable_goals():
+    with pytest.raises(IncompatibleGoal) as caught:
+        validate_context(CARE_RECS, goals=[PAIN, COMFORT], goal_priority=[(PAIN, SWELLING)])
+    assert str(caught.value) == (
+        "goal priority mentions 'Decrease Swelling', which is not a declared goal"
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(SWELLING, PAIN)], [(SWELLING, PAIN), (PAIN, COMFORT)], []],
+    ids=["total", "undeclared", "incomparable"],
+)
+def test_validate_context_reads_a_generator_of_priority_pairs_as_the_list(pairs):
+    def outcome(given):
+        try:
+            return validate_context(CARE_RECS, goals=[PAIN, SWELLING], goal_priority=given)
+        except ValidationError as error:
+            return type(error), str(error)
+
+    assert outcome(pair for pair in pairs) == outcome(pairs)
+
+
 def test_display_forms():
     assert StateTerm("Blood Pressure").display() == "Blood Pressure"
     assert StateTerm("Body Temperature", "High").display() == "High Body Temperature"

@@ -1,9 +1,10 @@
 """One sha256 over the instances the random generators draw for fixed seeds.
 
-Run it from a checkout, once before a change and once after, or point it at
-another checkout's sources::
+Run it from a checkout, once before a change and once after::
 
-    python tools/same_instances.py [--src PATH]
+    python tools/same_instances.py
+
+It imports the ``src`` of the checkout it sits in.
 
 Criteria 3-6 and the mapper and oracle suites draw their data from
 ``argclinic.generators``, so a generator change that alters a draw changes
@@ -22,7 +23,6 @@ The texts are canonical, so the hash does not depend on ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import random
@@ -54,10 +54,7 @@ def _texts(seed: int):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, default=SRC, help="the sources to import")
-    args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(SRC))
     total = hashlib.sha256()
     for seed in range(SEEDS):
         for text in _texts(seed):
